@@ -265,8 +265,8 @@ def forward_operator(p, sensors, medium, chain, threads=1):
         values = np.zeros((ids.size, n_freq), dtype=np.complex128)
     else:
         def rows(a, b):
-            return _forward_rows(pos[a:b], vals, coords, omega, medium.c0,
-                                 alphas, dV)
+            return _forward_rows(pos[a:b], vals, coords, omega[0], np.arange(n_freq),
+                                 medium.c0, alphas, dV)
 
         values = np.concatenate(map_chunks(rows, ids.size, DETECTOR_CHUNK, threads))
     if gains is not None:
@@ -275,27 +275,36 @@ def forward_operator(p, sensors, medium, chain, threads=1):
     return Spectra(values, chain.freq_hz, ids)
 
 
-def _forward_rows(det_pos, vals, coords, omega, c0, alphas, dV):
-    n_freq = omega.size
-    out = np.empty((det_pos.shape[0], n_freq), dtype=np.complex128)
+def _forward_rows(det_pos, vals, coords, omega1, modes, c0, alphas, dV):
+    """Green's sums of detector rows ``det_pos`` at the 0-based bins ``modes``.
+
+    omega_k = k * omega_1, so the phase advances by one multiply per bin up
+    to the highest requested bin; the sum of a bin is the same whichever
+    other bins are requested, so full and masked rows agree term by term.
+    ``alphas`` holds one attenuation per requested bin (or is None).
+    """
+    out = np.empty((det_pos.shape[0], modes.size), dtype=np.complex128)
+    col = np.full(int(modes.max()) + 1, -1)
+    col[modes] = np.arange(modes.size)
     scale = dV / (4.0 * np.pi)
     for i in range(det_pos.shape[0]):
         d = coords - det_pos[i]
         R = np.sqrt(np.einsum("vj,vj->v", d, d))
         g = vals * (scale / R)
-        # omega_k = k * omega_1, so the phase advances by one multiply per bin.
-        base = np.exp((1j * omega[0] / c0) * R)
+        base = np.exp((1j * omega1 / c0) * R)
         ph = base.copy()
-        for k in range(n_freq):
-            if alphas is None:
-                re = np.einsum("v,v->", g, ph.real)
-                im = np.einsum("v,v->", g, ph.imag)
-            else:
-                att = g * np.exp(-alphas[k] * R)
-                re = np.einsum("v,v->", att, ph.real)
-                im = np.einsum("v,v->", att, ph.imag)
-            out[i, k] = complex(re, im)
-            if k + 1 < n_freq:
+        for k in range(col.size):
+            j = col[k]
+            if j >= 0:
+                if alphas is None:
+                    re = np.einsum("v,v->", g, ph.real)
+                    im = np.einsum("v,v->", g, ph.imag)
+                else:
+                    att = g * np.exp(-alphas[j] * R)
+                    re = np.einsum("v,v->", att, ph.real)
+                    im = np.einsum("v,v->", att, ph.imag)
+                out[i, j] = complex(re, im)
+            if k + 1 < col.size:
                 ph *= base
     return out
 
@@ -444,20 +453,20 @@ def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
         raise ValueError("mask indices out of range")
     gains = _chain_gains(chain, ids.size)
     vals, coords = _support(p_hat)
-    omega = chain.omega[mask.mode_indices]
+    modes = mask.mode_indices
     alphas = medium.attenuation_np_per_m(chain.freq_hz)
-    alphas = None if alphas is None else alphas[mask.mode_indices]
+    alphas = None if alphas is None else alphas[modes]
     dV = p_hat.pitch_m**3
-    h = chain.response[mask.mode_indices]
+    h = chain.response[modes]
     sub_pos = pos[mask.sensor_indices]
-    ref = psi.values[np.ix_(mask.sensor_indices, mask.mode_indices)]
+    ref = psi.values[np.ix_(mask.sensor_indices, modes)]
 
     def rows(a, b):
         if vals.size == 0:
-            pred = np.zeros((b - a, omega.size), dtype=np.complex128)
+            pred = np.zeros((b - a, modes.size), dtype=np.complex128)
         else:
-            pred = _masked_rows(sub_pos[a:b], vals, coords, omega, medium.c0,
-                                alphas, dV)
+            pred = _forward_rows(sub_pos[a:b], vals, coords, chain.omega[0], modes,
+                                 medium.c0, alphas, dV)
         pred *= h[None, :]
         if gains is not None:
             pred *= gains[mask.sensor_indices[a:b], None]
@@ -525,28 +534,3 @@ def load_spectra(path):
     values = raw.reshape(n_det, n_freq).astype(np.complex128)
     psi = Spectra(values, chain.freq_hz, np.asarray(header["detector_ids"], dtype=np.int64))
     return psi, chain, header
-
-
-def _masked_rows(det_pos, vals, coords, omega, c0, alphas, dV):
-    n = coords.shape[0]
-    out = np.empty((det_pos.shape[0], omega.size), dtype=np.complex128)
-    scale = dV / (4.0 * np.pi)
-    arg = np.empty(n)
-    cos_b = np.empty(n)
-    sin_b = np.empty(n)
-    for i in range(det_pos.shape[0]):
-        d = coords - det_pos[i]
-        R = np.sqrt(np.einsum("vj,vj->v", d, d))
-        g = vals * (scale / R)
-        for j in range(omega.size):
-            np.multiply(R, omega[j] / c0, out=arg)
-            np.cos(arg, out=cos_b)
-            np.sin(arg, out=sin_b)
-            if alphas is not None:
-                att = np.exp(-alphas[j] * R)
-                cos_b *= att
-                sin_b *= att
-            re = np.einsum("v,v->", g, cos_b)
-            im = np.einsum("v,v->", g, sin_b)
-            out[i, j] = complex(re, im)
-    return out

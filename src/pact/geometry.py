@@ -8,7 +8,7 @@ cell so no ring sits exactly at the pole.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -332,11 +332,11 @@ def disco_apply(layer, f):
             f"feature shape {f.shape} does not match layer [{layer.c_in} x {layer.n_in}]"
         )
     dtype = np.result_type(f.dtype, layer.theta.dtype, np.float64)
-    kf = np.empty((layer.c_in, layer.basis.L, layer.n_out), dtype=dtype)
-    for ci in range(layer.c_in):
-        for ell in range(layer.basis.L):
-            kf[ci, ell] = layer.matrices[ell] @ f[ci]
-    return np.einsum("oil,iln->on", layer.theta.astype(dtype), kf)
+    # One sparse x dense product per basis function streams each matrix once;
+    # kf[l, n, c_i] = (K^l f[c_i])_n, contracted over (c_i, l) as one product.
+    ft = np.ascontiguousarray(f.T, dtype=dtype)
+    kf = np.stack([layer.matrices[ell] @ ft for ell in range(layer.basis.L)])
+    return np.tensordot(layer.theta.astype(dtype), kf, axes=([1, 2], [2, 0]))
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pact.forward import ReceiveChain, forward_operator
+import pact.recon_iter as recon_iter
+from pact.forward import ReceiveChain, Spectra, adjoint_operator, forward_operator
 from pact.geometry import build_hemisphere_grid
 from pact.recon_iter import (
     IterConfig,
@@ -121,6 +124,20 @@ def _wideband_setup(grid8, medium):
     return sensors, chain
 
 
+def _operator_pair(grid, sensors, medium, chain):
+    """Forward and adjoint as float64 vector maps, as the solver sees them."""
+    def A(xv):
+        v = Volume(xv.reshape(grid.shape).astype(np.float32), grid.pitch_m)
+        return forward_operator(v, sensors, medium, chain).values
+
+    def At(r):
+        sp = Spectra(r, chain.freq_hz, sensors.active_indices)
+        return adjoint_operator(sp, sensors, medium, chain,
+                                grid).data.astype(np.float64).ravel()
+
+    return A, At
+
+
 def test_fista_noiseless_consistency(grid8, medium):
     from pact.recon_iter import default_lambda
 
@@ -162,6 +179,61 @@ def test_fista_matches_dense_least_squares(grid8, medium):
     assert np.linalg.norm(x - x_ls) / np.linalg.norm(x_ls) < 1e-4
 
 
+def _dense_least_squares():
+    rng = np.random.default_rng(0)
+    mat = rng.standard_normal((80, 64))
+    return mat, mat @ rng.standard_normal(64)
+
+
+_DENSE_MAT, _DENSE_Y = _dense_least_squares()
+
+
+@settings(max_examples=30, deadline=None)
+@example(factor=0.75)
+@example(factor=0.6)
+@given(factor=st.floats(min_value=0.5, max_value=1.0))
+def test_fista_converges_with_under_estimated_norm(factor):
+    # A low ||A|| estimate makes early steps overshoot.  Backtracking must
+    # recover the step, and neither a rejected step nor a momentum ripple may
+    # end the solve through the relative-drop test.
+    mat, y = _DENSE_MAT, _DENSE_Y
+    grid = GridSpec((4, 4, 4), 1e-3)
+    cfg = IterConfig(max_iters=500, rel_obj_tol=1e-3, nonneg=False,
+                     op_norm=factor * np.linalg.norm(mat, 2))
+    _, trace = fista_solve(lambda v: mat @ v, lambda r: mat.T @ r, y, grid, cfg)
+    assert trace[-1] < 1e-4
+    assert np.all(np.diff(trace) <= 1e-9 * trace[0])
+
+
+def test_fista_applies_each_operator_once_per_iteration(grid8, medium, monkeypatch):
+    sensors, chain = _wideband_setup(grid8, medium)
+    x_true = Volume(np.random.default_rng(8).random((8, 8, 8)).astype(np.float32),
+                    grid8.pitch_m)
+    psi = forward_operator(x_true, sensors, medium, chain)
+    warm = adjoint_operator(psi, sensors, medium, chain, grid8)
+    # Twice the power-iteration estimate bounds ||A||, so no step backtracks.
+    A, At = _operator_pair(grid8, sensors, medium, chain)
+    cfg = IterConfig(max_iters=12, rel_obj_tol=0.0,
+                     op_norm=2.0 * estimate_op_norm(A, At, grid8, iters=10, seed=0))
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(recon_iter, "forward_operator",
+                        counted("forward", forward_operator))
+    monkeypatch.setattr(recon_iter, "adjoint_operator",
+                        counted("adjoint", adjoint_operator))
+    _, trace = fista_reconstruct(psi, sensors, medium, chain, grid8, cfg,
+                                 warm_volume=warm)
+    assert len(trace) == 1 + cfg.max_iters
+    # One forward rescales the warm start; then one of each per iteration.
+    assert calls == {"forward": 1 + cfg.max_iters, "adjoint": cfg.max_iters}
+
+
 def test_fista_trace_is_monotone(grid8, array10, medium, chain16):
     rng = np.random.default_rng(7)
     x_true = Volume(rng.random((8, 8, 8)).astype(np.float32), grid8.pitch_m)
@@ -179,7 +251,6 @@ def test_fista_warm_start_not_worse(grid8, medium):
     # Back-projection-style warm starts (here the adjoint of the data, the
     # same role UBP plays in the pipeline) never end above the zero start on
     # an equal iteration budget.
-    from pact.forward import adjoint_operator
     from pact.recon_iter import default_lambda
 
     sensors, chain = _wideband_setup(grid8, medium)
@@ -197,20 +268,8 @@ def test_fista_warm_start_not_worse(grid8, medium):
                                   warm_volume=warm)
         assert tw[-1] <= tz[-1] * (1 + 1e-6)
         if op_norm is None:
-            from pact.recon_iter import estimate_op_norm
-
             # Geometry is shared across seeds; reuse one estimate.
-            def A(xv):
-                v = Volume(xv.reshape(grid8.shape).astype(np.float32), grid8.pitch_m)
-                return forward_operator(v, sensors, medium, chain).values
-
-            def At(r):
-                from pact.forward import Spectra
-
-                sp = Spectra(r, chain.freq_hz, sensors.active_indices)
-                return adjoint_operator(sp, sensors, medium, chain,
-                                        grid8).data.astype(np.float64).ravel()
-
+            A, At = _operator_pair(grid8, sensors, medium, chain)
             op_norm = estimate_op_norm(A, At, grid8, iters=10, seed=0)
 
 
