@@ -1,8 +1,8 @@
 """Command-line front end: pact <command> [options].
 
-Commands: phantom, forward, subsample, ubp, iter, metrics, disco-check,
-fno-check, pipeline, validate.  Exit codes: 0 success, 1 I/O or data error,
-2 usage error.  Every run writes a ``<output>.meta.json`` record with the
+Commands: phantom, geom, forward, subsample, ubp, iter, metrics,
+disco-check, fno-check, pipeline, validate.  Exit codes: 0 success, 1 I/O
+or data error, 2 usage error.  Every run writes a ``<output>.meta.json`` record with the
 resolved configuration, toolkit version and wall time.
 """
 
@@ -146,9 +146,6 @@ def _build_parser():
     p.add_argument("--grid", default="64x64x64")
     p.add_argument("--pitch", type=float, default=5e-4)
     p.add_argument("--c0", type=float, default=1500.0)
-    p.add_argument("--interp", choices=["linear", "cubic"], default="linear")
-    p.add_argument("--accum", choices=["kahan", "pairwise"], default="kahan")
-    p.add_argument("--no-spreading", action="store_true", help="drop the 1/R weight")
     p.add_argument("--out", required=True)
     p.add_argument("--mip")
     p.set_defaults(func=cmd_ubp)
@@ -296,9 +293,7 @@ def cmd_ubp(args):
     psi, chain, sensors, grid, _ = _load_recon_inputs(args)
     traces = to_time_domain(psi, chain)
     filtered = ubp_filter(traces, 1.0 / chain.fs)
-    cfg = UbpConfig(c0=args.c0, interp=args.interp, accumulation=args.accum,
-                    spreading_weight=not args.no_spreading)
-    vol = ubp_reconstruct(filtered, sensors, grid, cfg, fs=chain.fs,
+    vol = ubp_reconstruct(filtered, sensors, grid, UbpConfig(c0=args.c0), fs=chain.fs,
                           threads=args.threads)
     save_volume(vol, args.out)
     outputs = [args.out]
@@ -320,8 +315,7 @@ def cmd_iter(args):
     if lam is None:
         lam = default_lambda(psi, sensors, medium, chain, grid, threads=args.threads)
     cfg = IterConfig(lambda_tv=lam, mu_tik=args.mu, huber_delta=args.delta,
-                     max_iters=args.iters, warm_start=args.warm,
-                     threads=args.threads)
+                     max_iters=args.iters, threads=args.threads)
     vol, trace = fista_reconstruct(psi, sensors, medium, chain, grid, cfg,
                                    warm_volume=warm)
     save_volume(vol, args.out)

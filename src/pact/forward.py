@@ -3,11 +3,11 @@
 The detected spectrum of detector m at angular frequency w_k is the
 discretized free-space single-layer potential
 
-    psi[m, k] = gain_m * H(w_k) * sum_v P(r_v) * exp(i*k(w)*R) / (4*pi*R) * dV,
+    psi[m, k] = gain_m * H(w_k) * sum_v P(r_v) * exp(i*k*R) / (4*pi*R) * dV,
 
-with R = |r_v - s_m| and complex wavenumber k(w) = w/c0 + i*alpha(w).  Sums
-over voxels run in a fixed order (restricted to the nonzero support of P),
-so results are bitwise reproducible for any thread count.
+with R = |r_v - s_m| and real wavenumber k = w_k/c0 of a lossless medium.
+Sums over voxels run in a fixed order (restricted to the nonzero support of
+P), so results are bitwise reproducible for any thread count.
 """
 
 import math
@@ -22,26 +22,13 @@ from .volume import Volume
 
 @dataclass(frozen=True)
 class AcousticMedium:
-    """Homogeneous acoustic medium; optional power-law attenuation.
-
-    ``alpha0`` is in Np/m at 1 MHz, scaled as (f / 1 MHz)**alpha_exponent.
-    """
+    """Homogeneous lossless acoustic medium with sound speed ``c0`` (m/s)."""
 
     c0: float = 1500.0
-    rho0: float = 1000.0
-    alpha0: float = 0.0
-    alpha_exponent: float = 1.0
 
     def __post_init__(self):
-        if self.c0 <= 0 or self.rho0 <= 0:
-            raise ValueError("sound speed and density must be positive")
-        if self.alpha0 < 0:
-            raise ValueError("attenuation must be >= 0")
-
-    def attenuation_np_per_m(self, freq_hz):
-        if self.alpha0 == 0.0:
-            return None
-        return self.alpha0 * (np.asarray(freq_hz) / 1e6) ** self.alpha_exponent
+        if self.c0 <= 0:
+            raise ValueError("sound speed must be positive")
 
 
 @dataclass
@@ -257,7 +244,6 @@ def forward_operator(p, sensors, medium, chain, threads=1):
     gains = _chain_gains(chain, ids.size)
     vals, coords = _support(p)
     omega = chain.omega
-    alphas = medium.attenuation_np_per_m(chain.freq_hz)
     dV = p.pitch_m**3
     n_freq = chain.n_freq
 
@@ -266,7 +252,7 @@ def forward_operator(p, sensors, medium, chain, threads=1):
     else:
         def rows(a, b):
             return _forward_rows(pos[a:b], vals, coords, omega[0], np.arange(n_freq),
-                                 medium.c0, alphas, dV)
+                                 medium.c0, dV)
 
         values = np.concatenate(map_chunks(rows, ids.size, DETECTOR_CHUNK, threads))
     if gains is not None:
@@ -275,13 +261,12 @@ def forward_operator(p, sensors, medium, chain, threads=1):
     return Spectra(values, chain.freq_hz, ids)
 
 
-def _forward_rows(det_pos, vals, coords, omega1, modes, c0, alphas, dV):
+def _forward_rows(det_pos, vals, coords, omega1, modes, c0, dV):
     """Green's sums of detector rows ``det_pos`` at the 0-based bins ``modes``.
 
     omega_k = k * omega_1, so the phase advances by one multiply per bin up
     to the highest requested bin; the sum of a bin is the same whichever
     other bins are requested, so full and masked rows agree term by term.
-    ``alphas`` holds one attenuation per requested bin (or is None).
     """
     out = np.empty((det_pos.shape[0], modes.size), dtype=np.complex128)
     col = np.full(int(modes.max()) + 1, -1)
@@ -296,13 +281,8 @@ def _forward_rows(det_pos, vals, coords, omega1, modes, c0, alphas, dV):
         for k in range(col.size):
             j = col[k]
             if j >= 0:
-                if alphas is None:
-                    re = np.einsum("v,v->", g, ph.real)
-                    im = np.einsum("v,v->", g, ph.imag)
-                else:
-                    att = g * np.exp(-alphas[j] * R)
-                    re = np.einsum("v,v->", att, ph.real)
-                    im = np.einsum("v,v->", att, ph.imag)
+                re = np.einsum("v,v->", g, ph.real)
+                im = np.einsum("v,v->", g, ph.imag)
                 out[i, j] = complex(re, im)
             if k + 1 < col.size:
                 ph *= base
@@ -326,7 +306,6 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
         raise GeometryMismatchError("spectra bins do not match the receive chain")
     gains = _chain_gains(chain, ids.size)
     omega = chain.omega
-    alphas = medium.attenuation_np_per_m(chain.freq_hz)
     coords = grid.voxel_coords()
     dV = grid.pitch_m**3
     # Fold response and gains into the per-row coefficients.
@@ -335,8 +314,7 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
         coeff = coeff * gains[:, None]
 
     def partial(a, b):
-        return _adjoint_rows(pos[a:b], coeff[a:b], coords, omega, medium.c0,
-                             alphas, dV)
+        return _adjoint_rows(pos[a:b], coeff[a:b], coords, omega, medium.c0, dV)
 
     parts = map_chunks(partial, ids.size, DETECTOR_CHUNK, threads)
     acc = parts[0]
@@ -346,7 +324,8 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
     return Volume(data, grid.pitch_m, grid.origin_m)
 
 
-def _adjoint_rows(det_pos, coeff, coords, omega, c0, alphas, dV):
+def _adjoint_rows(det_pos, coeff, coords, omega, c0, dV):
+    """Re(conj(G) * coeff) summed over the rows ``det_pos`` at every voxel."""
     n_freq = omega.size
     acc = np.zeros(coords.shape[0], dtype=np.float64)
     scale = dV / (4.0 * np.pi)
@@ -356,23 +335,17 @@ def _adjoint_rows(det_pos, coeff, coords, omega, c0, alphas, dV):
         R = np.sqrt(np.einsum("vj,vj->v", d, d))
         w = scale / R
         det_acc = np.zeros(coords.shape[0], dtype=np.float64)
-        if alphas is None:
-            base = np.exp((-1j * omega[0] / c0) * R)
-            ph = base.copy()
-            for k in range(n_freq):
-                c = coeff[i, k]
-                # Re(conj(G) * psi) accumulated without complex temporaries.
-                np.multiply(ph.real, c.real, out=tmp)
-                det_acc += tmp
-                np.multiply(ph.imag, c.imag, out=tmp)
-                det_acc -= tmp
-                if k + 1 < n_freq:
-                    ph *= base
-        else:
-            for k in range(n_freq):
-                c = coeff[i, k]
-                ph = np.exp((-1j * omega[k] / c0 - alphas[k]) * R)
-                det_acc += ph.real * c.real - ph.imag * c.imag
+        base = np.exp((-1j * omega[0] / c0) * R)
+        ph = base.copy()
+        for k in range(n_freq):
+            c = coeff[i, k]
+            # Re(conj(G) * psi) accumulated without complex temporaries.
+            np.multiply(ph.real, c.real, out=tmp)
+            det_acc += tmp
+            np.multiply(ph.imag, c.imag, out=tmp)
+            det_acc -= tmp
+            if k + 1 < n_freq:
+                ph *= base
         acc += det_acc * w
     return acc
 
@@ -454,8 +427,6 @@ def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
     gains = _chain_gains(chain, ids.size)
     vals, coords = _support(p_hat)
     modes = mask.mode_indices
-    alphas = medium.attenuation_np_per_m(chain.freq_hz)
-    alphas = None if alphas is None else alphas[modes]
     dV = p_hat.pitch_m**3
     h = chain.response[modes]
     sub_pos = pos[mask.sensor_indices]
@@ -466,7 +437,7 @@ def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
             pred = np.zeros((b - a, modes.size), dtype=np.complex128)
         else:
             pred = _forward_rows(sub_pos[a:b], vals, coords, chain.omega[0], modes,
-                                 medium.c0, alphas, dV)
+                                 medium.c0, dV)
         pred *= h[None, :]
         if gains is not None:
             pred *= gains[mask.sensor_indices[a:b], None]
@@ -515,11 +486,17 @@ def load_spectra(path):
         if key not in header:
             raise GeometryMismatchError(f"{path}.json: missing header field '{key}'")
     n_det, n_freq = int(header["n_det"]), int(header["n_freq"])
+    fs = float(header["fs"])
+    if not (math.isfinite(fs) and fs > 0):
+        raise GeometryMismatchError(f"{path}.json: fs must be finite and positive, got {fs}")
+    ids = np.asarray(header["detector_ids"], dtype=np.int64)
+    if np.unique(ids).size != ids.size:
+        raise GeometryMismatchError(f"{path}.json: repeated detector id")
     response = (np.asarray(header["response_re"], dtype=np.float64)
                 + 1j * np.asarray(header["response_im"], dtype=np.float64))
     gains = header.get("gains")
     chain = ReceiveChain(
-        fs=float(header["fs"]),
+        fs=fs,
         n_t=int(header["n_t"]),
         n_freq=n_freq,
         response=response,
@@ -531,6 +508,8 @@ def load_spectra(path):
         raise GeometryMismatchError(
             f"{path}: payload has {raw.size} values, header promises {n_det * n_freq}"
         )
+    if not np.all(np.isfinite(raw)):
+        raise GeometryMismatchError(f"{path}: payload holds non-finite values")
     values = raw.reshape(n_det, n_freq).astype(np.complex128)
-    psi = Spectra(values, chain.freq_hz, np.asarray(header["detector_ids"], dtype=np.int64))
+    psi = Spectra(values, chain.freq_hz, ids)
     return psi, chain, header

@@ -8,6 +8,7 @@ cell so no ring sits exactly at the pole.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,15 +78,13 @@ class SamplingPattern:
 
     ``kind`` is one of 'full', 'uniform' (every rate-th azimuth column),
     'limaz' (azimuth arc of arc_deg degrees) or 'limel' (fraction of
-    elevation rows closest to the pole).  ``seed`` is reserved for future
-    randomized patterns.
+    elevation rows closest to the pole).
     """
 
     kind: str
     rate: int = 1
     arc_deg: float = 360.0
     fraction: float = 1.0
-    seed: int = None
 
     def __post_init__(self):
         if self.kind not in ("full", "uniform", "limaz", "limel"):
@@ -113,15 +112,6 @@ class SamplingPattern:
         if name == "limel":
             return cls("limel", fraction=float(arg))
         raise ValueError(f"unknown sampling pattern '{text}'")
-
-    def describe(self):
-        if self.kind == "full":
-            return "full"
-        if self.kind == "uniform":
-            return f"uniform:{self.rate}"
-        if self.kind == "limaz":
-            return f"limaz:{self.arc_deg:g}"
-        return f"limel:{self.fraction:g}"
 
 
 def build_hemisphere_grid(n_theta, n_phi, radius_m):
@@ -231,18 +221,32 @@ def load_sensor_array(path):
     n_theta, n_phi = int(doc["n_theta"]), int(doc["n_phi"])
     radius = float(doc["radius_m"])
     n = n_theta * n_phi
-    if len(doc["elements"]) != n:
+    records = doc["elements"]
+    if len(records) != n:
         raise GeometryMismatchError(
-            f"{path}: {len(doc['elements'])} element records, header promises {n}"
+            f"{path}: {len(records)} element records, header promises {n}"
         )
+    if not all(isinstance(rec, list) and len(rec) == 5 for rec in records):
+        raise GeometryMismatchError(
+            f"{path}: element records must be [index, theta, phi, weight, active]"
+        )
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    if not all(type(rec[0]) is int and 0 <= rec[0] < n for rec in records):
+        raise GeometryMismatchError(f"{path}: element indices must be integers in [0, {n})")
+    idx = np.array([rec[0] for rec in records], dtype=np.int64)
+    if np.unique(idx).size != n:
+        raise GeometryMismatchError(f"{path}: repeated element index")
+    if not all(type(v) in (int, float) and math.isfinite(v)
+               for rec in records for v in rec[1:4]):
+        raise GeometryMismatchError(f"{path}: element angles and weights must be finite numbers")
+    if not all(type(rec[4]) is bool for rec in records):
+        raise GeometryMismatchError(f"{path}: element active flags must be true or false")
     angles = np.zeros((n, 2))
     weights = np.zeros(n)
     active = np.zeros(n, dtype=bool)
-    for rec in doc["elements"]:
-        idx, theta, phi, w, act = rec
-        angles[idx] = (theta, phi)
-        weights[idx] = w
-        active[idx] = act
+    angles[idx] = [rec[1:3] for rec in records]
+    weights[idx] = [rec[3] for rec in records]
+    active[idx] = [rec[4] for rec in records]
     th, ph = angles[:, 0], angles[:, 1]
     positions = radius * np.stack(
         [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1

@@ -18,11 +18,6 @@ from .geometry import SensorArray, quadrature_weights
 
 _BASIS_KINDS = ("piecewise_linear", "haar", "zernike")
 
-# Production-scale defaults; desk-scale checks use (4, 4, 8) modes.
-DEFAULT_FNO_MODES = (13, 22, 98)
-DEFAULT_BASIS_RADIUS = 0.1 * np.pi
-DEFAULT_BASIS_SIZE = 4
-
 
 @dataclass(frozen=True)
 class KernelBasis:
@@ -290,16 +285,12 @@ class DiscoLayer:
     """Spherical discrete-continuous convolution with channel mixing.
 
     ``matrices`` depend only on geometry and basis; ``theta`` has shape
-    [C_out, C_in, L] and is the only learnable state.  ``in_points`` and
-    ``out_points`` optionally keep references to the sampled point sets the
-    matrices were built from.
+    [C_out, C_in, L] and is the only learnable state.
     """
 
     basis: KernelBasis
     matrices: list
     theta: np.ndarray
-    in_points: object = None
-    out_points: object = None
     n_in: int = field(init=False)
     n_out: int = field(init=False)
 

@@ -16,27 +16,6 @@ from .volume import GridSpec, Volume
 
 
 @dataclass(frozen=True)
-class OpticalProperties:
-    """Grueneisen parameter, absorption and homogeneous fluence.
-
-    Initial pressure is grueneisen * mu_a * fluence; the toolkit folds the
-    product into a single peak-pressure scale, so these are bookkeeping.
-    """
-
-    grueneisen: float = 0.2
-    mu_a: float = 20.0
-    fluence: float = 10.0
-
-    def __post_init__(self):
-        if self.grueneisen <= 0 or self.fluence <= 0 or self.mu_a < 0:
-            raise ValueError("optical properties out of range")
-
-    @property
-    def peak_pressure(self):
-        return self.grueneisen * self.mu_a * self.fluence
-
-
-@dataclass(frozen=True)
 class GrowthParams:
     """Tuning knobs of the bifurcating generator."""
 

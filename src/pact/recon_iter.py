@@ -1,7 +1,7 @@
-"""Optimization-based reconstruction: whitened least squares with Huber-TV
-and Tikhonov terms, nonnegativity projection, FISTA iterations.
+"""Optimization-based reconstruction: least squares with Huber-TV and
+Tikhonov terms, nonnegativity projection, FISTA iterations.
 
-Minimizes  0.5*||W(Ax - psi)||^2 + lambda*TV_delta(x) + 0.5*mu*||x||^2
+Minimizes  0.5*||Ax - psi||^2 + lambda*TV_delta(x) + 0.5*mu*||x||^2
 subject to x >= 0.  The Huber-smoothed TV is handled by its gradient.  The
 step starts at 1/L with L from a short power iteration on A^H A and
 backtracks (L doubles, never shrinks) until the candidate sits under the
@@ -30,11 +30,10 @@ _BACKTRACK = 2.0
 class IterConfig:
     """FISTA solver parameters.
 
-    ``whitening`` is an optional per-entry real weight array matching the
-    spectra shape; ``discrepancy_target`` stops once the squared whitened
-    residual falls to the expected noise energy.  ``rel_obj_tol`` stops once
-    an accepted step lowers the objective by less than that fraction; a
-    rejected step (momentum restart) never stops the solve.
+    ``discrepancy_target`` stops once the squared residual falls to the
+    expected noise energy.  ``rel_obj_tol`` stops once an accepted step
+    lowers the objective by less than that fraction; a rejected step
+    (momentum restart) never stops the solve.
 
     ``power_iters`` defaults to 6 steps: the power iteration under-estimates
     ||A||, and backtracking makes an under-estimate safe, costing one extra
@@ -49,10 +48,7 @@ class IterConfig:
     huber_delta: float = 0.01
     max_iters: int = 100
     rel_obj_tol: float = 1e-3
-    whitening: np.ndarray = None
-    warm_start: str = "ubp"          # 'ubp' or 'zero'
     power_iters: int = 6
-    power_seed: int = 0
     discrepancy_target: float = None
     nonneg: bool = True
     op_norm: float = None            # reuse a precomputed ||A|| estimate
@@ -65,17 +61,14 @@ class IterConfig:
             raise ValueError("huber_delta must be positive")
         if self.power_iters < 3:
             raise ValueError("power_iters must be >= 3")
-        if self.warm_start not in ("ubp", "zero"):
-            raise ValueError("warm_start must be 'ubp' or 'zero'")
 
 
 def estimate_op_norm(forward, adjoint, grid, iters=20, seed=0):
     """Power iteration on A^H A; returns an estimate of ||A||_2.
 
-    ``forward`` maps a float64 voxel vector to anything supporting a
-    squared-norm via ``_sq_norm``; ``adjoint`` maps that output back to a
-    voxel vector.  The Rayleigh estimate is non-decreasing in exact
-    arithmetic.
+    ``forward`` maps a float64 voxel vector to measurement space and
+    ``adjoint`` maps that output back to a voxel vector.  The Rayleigh
+    estimate is non-decreasing in exact arithmetic.
     """
     if isinstance(grid, Volume):
         grid = grid.grid
@@ -175,19 +168,11 @@ def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
     """
     if isinstance(grid, Volume):
         grid = grid.grid
-    w = None
-    if cfg.whitening is not None:
-        w = np.asarray(cfg.whitening, dtype=np.float64)
-        if w.shape != np.shape(y_ref):
-            raise ValueError("whitening weights must match the data shape")
 
     def data_term(ax):
-        """0.5*||W(Ax - y)||^2 and the weighted residual W^2 (Ax - y)."""
+        """0.5*||Ax - y||^2 and the residual Ax - y."""
         resid = ax - y_ref
-        if w is None:
-            return 0.5 * _sq_norm(resid), resid
-        wresid = w * resid
-        return 0.5 * _sq_norm(wresid), w * wresid
+        return 0.5 * _sq_norm(resid), resid
 
     def regulariser(xvec):
         """Value and gradient of lambda*TV_delta(x) + 0.5*mu*||x||^2."""
@@ -201,14 +186,13 @@ def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
             grad = grad + cfg.mu_tik * xvec
         return value, grad
 
-    # Starting Lipschitz estimate ||A||^2 * max(W)^2 + mu; backtracking
-    # raises it where the estimate is low or the TV term needs more.
+    # Starting Lipschitz estimate ||A||^2 + mu; backtracking raises it
+    # where the estimate is low or the TV term needs more.
     if cfg.op_norm is not None:
         op_norm = float(cfg.op_norm)
     else:
-        op_norm = estimate_op_norm(A, At, grid, iters=cfg.power_iters, seed=cfg.power_seed)
-    w_max = 1.0 if w is None else float(np.max(w))
-    lip = op_norm**2 * w_max**2 + cfg.mu_tik
+        op_norm = estimate_op_norm(A, At, grid, iters=cfg.power_iters)
+    lip = op_norm**2 + cfg.mu_tik
     if lip == 0.0:
         raise ValueError("operator norm estimate is zero; nothing to reconstruct")
 
@@ -219,11 +203,9 @@ def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
         # The back-projection scale is arbitrary; rescale the warm start to
         # the least-squares optimum so it can never start above F(0).
         ax = A(x)
-        wa = ax if w is None else w * ax
-        wy = y_ref if w is None else w * y_ref
-        denom = _sq_norm(wa)
+        denom = _sq_norm(ax)
         if denom > 0.0:
-            s = max(_real_inner(wa, wy) / denom, 0.0)
+            s = max(_real_inner(ax, y_ref) / denom, 0.0)
             x = s * x
             ax = s * ax
     else:
@@ -239,10 +221,10 @@ def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
     slack = 1e-9 * abs(f_x)
 
     for it in range(cfg.max_iters):
-        data_y, wresid = data_term(ay)
+        data_y, resid = data_term(ay)
         reg_y, reg_grad = regulariser(y)
         f_y = data_y + reg_y
-        g = At(wresid) + reg_grad
+        g = At(resid) + reg_grad
         # Backtrack until F(z) sits under the quadratic model at y.
         while True:
             z = y - g / lip

@@ -2,11 +2,11 @@
 
 For each voxel r, the reconstruction accumulates the filtered trace
 b(t) = d/dt [t * p(t)] of every active detector at the time of flight
-t* = |r - s| / c0, weighted by the detector cell area and (optionally)
-1/R spherical spreading, then divides by the summed active weights.
-Accumulation is single precision with Kahan compensation (or a pairwise
-tree), with a fixed detector order per voxel, so output is bitwise
-reproducible for any thread count.
+t* = |r - s| / c0 (linear interpolation), weighted by the detector cell
+area and 1/R spherical spreading, then divides by the summed active weights
+(Xu & Wang, PRE 71, 016706, 2005).  Accumulation is single precision with
+Kahan compensation, with a fixed detector order per voxel, so output is
+bitwise reproducible for any thread count.
 """
 
 from dataclasses import dataclass
@@ -15,6 +15,7 @@ import numpy as np
 
 from ._chunks import map_chunks
 from .errors import WindowTooShortError
+from .geometry import quadrature_weights
 from .volume import GridSpec, Volume
 
 # Voxel block size; per-voxel sums run over detectors in fixed order, so
@@ -25,21 +26,13 @@ _UBP_CHUNK = 131072
 
 @dataclass(frozen=True)
 class UbpConfig:
-    """Back-projection parameters."""
+    """Back-projection parameters: the sound speed ``c0`` (m/s)."""
 
     c0: float = 1500.0
-    interp: str = "linear"            # 'linear' or 'cubic' (Catmull-Rom)
-    use_solid_angle_weights: bool = True
-    spreading_weight: bool = True     # apply 1/R
-    accumulation: str = "kahan"       # 'kahan' or 'pairwise'
 
     def __post_init__(self):
         if self.c0 <= 0:
             raise ValueError("sound speed must be positive")
-        if self.interp not in ("linear", "cubic"):
-            raise ValueError(f"unknown interpolation '{self.interp}'")
-        if self.accumulation not in ("kahan", "pairwise"):
-            raise ValueError(f"unknown accumulation '{self.accumulation}'")
 
 
 def ubp_filter(traces, dt):
@@ -94,12 +87,7 @@ def ubp_reconstruct(traces, sensors, grid, cfg, dt=None, fs=None, threads=1):
                         for cy in (lo[1], hi[1]) for cz in (lo[2], hi[2])])
     if np.linalg.norm(corners, axis=1).max() >= sensors.radius_m:
         raise ValueError("reconstruction grid extends outside the detector bowl")
-    if cfg.use_solid_angle_weights:
-        from .geometry import quadrature_weights
-
-        q = quadrature_weights(sensors)[ids]
-    else:
-        q = np.ones(ids.size)
+    q = quadrature_weights(sensors)[ids]
     weight_norm = float(q.sum())
 
     coords = grid.voxel_coords().astype(np.float32)
@@ -111,7 +99,6 @@ def ubp_reconstruct(traces, sensors, grid, cfg, dt=None, fs=None, threads=1):
     trace32 = traces.astype(np.float32)
     q32 = q.astype(np.float32)
     inv_cdt = np.float32(1.0 / (cfg.c0 * dt))
-    cubic = cfg.interp == "cubic"
 
     def chunk(a, b):
         x = np.ascontiguousarray(coords[a:b, 0])
@@ -119,7 +106,11 @@ def ubp_reconstruct(traces, sensors, grid, cfg, dt=None, fs=None, threads=1):
         z = np.ascontiguousarray(coords[a:b, 2])
         g2 = x * x + y * y + z * z
         n = b - a
-        contribs = _VoxelAccumulator(n, cfg.accumulation)
+        # Kahan-compensated sum over detectors; no buffer is allocated per detector.
+        acc = np.zeros(n, dtype=np.float32)
+        comp = np.zeros(n, dtype=np.float32)
+        ky = np.empty(n, dtype=np.float32)
+        kt = np.empty(n, dtype=np.float32)
         R = np.empty(n, dtype=np.float32)
         tau = np.empty(n, dtype=np.float32)
         tmp = np.empty(n, dtype=np.float32)
@@ -139,16 +130,17 @@ def ubp_reconstruct(traces, sensors, grid, cfg, dt=None, fs=None, threads=1):
             np.maximum(R, np.float32(0.0), out=R)
             np.sqrt(R, out=R)
             np.multiply(R, inv_cdt, out=tau)
-            if cubic:
-                val, miss = _interp_cubic(trace32[m], tau, n_t)
-            else:
-                val, miss = _interp_linear(trace32[m], tau, n_t, frac, v0, v1)
+            val, miss = _interp_linear(trace32[m], tau, n_t, frac, v0, v1)
             missed += miss
             val *= q32[m]
-            if cfg.spreading_weight:
-                val /= R
-            contribs.add(val)
-        return contribs.total(), missed
+            val /= R
+            np.subtract(val, comp, out=ky)
+            np.add(acc, ky, out=kt)
+            np.subtract(kt, acc, out=comp)
+            comp -= ky
+            # kt becomes the running sum; recycle the old sum as scratch.
+            acc, kt = kt, acc
+        return acc, missed
 
     results = map_chunks(chunk, n_v, _UBP_CHUNK, threads)
     out = np.concatenate([r[0] for r in results])
@@ -185,71 +177,3 @@ def _interp_linear(trace, tau, n_t, frac, v0, v1):
     if missed:
         v1[invalid] = 0.0
     return v1, missed
-
-
-def _interp_cubic(trace, tau, n_t):
-    """Catmull-Rom sampling; boundary cells fall back to linear."""
-    idx = tau.astype(np.int32)
-    valid = idx <= n_t - 2
-    missed = idx.size - int(np.count_nonzero(valid))
-    safe = np.minimum(idx, n_t - 2)
-    frac = (tau - idx).astype(np.float64)
-    inner = valid & (idx >= 1) & (idx <= n_t - 3)
-    si = np.where(inner, idx, 1)
-    f = frac
-    p0, p1, p2, p3 = trace[si - 1], trace[si], trace[si + 1], trace[si + 2]
-    cub = 0.5 * (
-        2.0 * p1
-        + (-p0 + p2) * f
-        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f * f
-        + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f * f * f
-    )
-    lin = (1.0 - frac) * trace[safe] + frac * trace[safe + 1]
-    val = np.where(inner, cub, lin).astype(np.float32)
-    val *= valid
-    return val, missed
-
-
-class _VoxelAccumulator:
-    """Single-precision accumulation over detectors, Kahan or pairwise tree.
-
-    All work buffers are preallocated; ``add`` never allocates.
-    """
-
-    def __init__(self, n, mode):
-        self.mode = mode
-        self.n = n
-        if mode == "kahan":
-            self.acc = np.zeros(n, dtype=np.float32)
-            self.comp = np.zeros(n, dtype=np.float32)
-            self._y = np.empty(n, dtype=np.float32)
-            self._t = np.empty(n, dtype=np.float32)
-        else:
-            self.stack = []  # (level, partial-sum) pairs of a binary counter
-
-    def add(self, contrib):
-        if self.mode == "kahan":
-            y, t = self._y, self._t
-            np.subtract(contrib, self.comp, out=y)
-            np.add(self.acc, y, out=t)
-            np.subtract(t, self.acc, out=self.comp)
-            self.comp -= y
-            # t becomes the running sum; recycle the old sum as scratch.
-            self.acc, self._t = t, self.acc
-            return
-        level, part = 0, contrib.copy()
-        while self.stack and self.stack[-1][0] == level:
-            _, prev = self.stack.pop()
-            part += prev
-            level += 1
-        self.stack.append((level, part))
-
-    def total(self):
-        if self.mode == "kahan":
-            return self.acc
-        if not self.stack:
-            return np.zeros(self.n, dtype=np.float32)
-        total = self.stack[0][1]
-        for _, part in self.stack[1:]:
-            total = total + part
-        return total

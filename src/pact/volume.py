@@ -7,6 +7,7 @@ order}``.  In memory the data array has shape ``(nx, ny, nz)`` and is indexed
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +115,11 @@ def load_volume(path):
             raise GeometryMismatchError(f"{sidecar_path(path)}: missing header field '{key}'")
     if header.get("dtype") != "f32le" or header.get("order") != "x-fastest":
         raise GeometryMismatchError(f"{sidecar_path(path)}: unsupported dtype/order")
+    pitch = float(header["pitch_m"])
+    if not (math.isfinite(pitch) and pitch > 0):
+        raise GeometryMismatchError(
+            f"{sidecar_path(path)}: pitch_m must be finite and positive, got {pitch}"
+        )
     shape = (header["nx"], header["ny"], header["nz"])
     n = shape[0] * shape[1] * shape[2]
     raw = np.fromfile(path, dtype="<f4")
@@ -121,8 +127,10 @@ def load_volume(path):
         raise GeometryMismatchError(
             f"{path}: payload has {raw.size} values, header promises {n}"
         )
+    if not np.all(np.isfinite(raw)):
+        raise GeometryMismatchError(f"{path}: payload holds non-finite values")
     data = raw.reshape(shape, order="F")
-    return Volume(data, header["pitch_m"], tuple(header["origin_m"]))
+    return Volume(data, pitch, tuple(header["origin_m"]))
 
 
 def sidecar_path(path):

@@ -1,9 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
+import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pact.cli
 from pact.cli import main
 from pact.volume import load_volume
 
@@ -168,3 +177,114 @@ def test_pipeline_determinism_across_threads(tmp_path):
         assert a == b, f"{fname} differs between thread counts"
     report = json.loads((outs[0] / "report.json").read_text())
     assert set(report) >= {"cosine", "psnr_db", "nmse", "pattern", "recon"}
+
+
+def test_module_docstring_names_every_subcommand():
+    parser = pact.cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    listed = pact.cli.__doc__.split("Commands:")[1].split(".")[0]
+    assert set(sub.choices) <= set(re.findall(r"[a-z][a-z-]*", listed))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A 2x4 sensor array, an 8^3 volume and its spectra, as in-memory parts."""
+    d = tmp_path_factory.mktemp("valid")
+    vol, geom, psi = d / "v.f32", d / "g.json", d / "psi.c64"
+    assert run(["phantom", "--seed", "1", "--leaves", "2", "--grid", "8x8x8",
+                "--pitch", "0.001", "--out", str(vol)]) == 0
+    assert run(["geom", "--ntheta", "2", "--nphi", "4", "--radius", "0.04",
+                "--out", str(geom)]) == 0
+    assert run(["forward", "--vol", str(vol), "--geom", str(geom), "--nf", "8",
+                "--center", "6e5", "--out", str(psi)]) == 0
+    return {
+        "volume": (np.fromfile(vol, dtype="<f4"),
+                   json.loads((d / "v.f32.json").read_text())),
+        "spectra": (np.fromfile(psi, dtype="<f4"),
+                    json.loads((d / "psi.c64.json").read_text())),
+        "sensors": json.loads(geom.read_text()),
+    }
+
+
+BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def file_mutations(draw):
+    """One defect in one valid file: (kind, what, position, value)."""
+    kind = draw(st.sampled_from(["volume", "spectra", "sensors"]))
+    if kind == "volume":
+        what = draw(st.sampled_from(["payload", "pitch_m"]))
+        if what == "payload":
+            return kind, what, draw(st.integers(0, 511)), draw(BAD_NUMBERS)
+        return kind, what, 0, draw(BAD_NUMBERS | st.sampled_from([0.0, -1e-3]))
+    if kind == "spectra":
+        what = draw(st.sampled_from(["payload", "fs", "detector_ids"]))
+        if what == "payload":
+            return kind, what, draw(st.integers(0, 2 * 8 * 8 - 1)), draw(BAD_NUMBERS)
+        if what == "fs":
+            return kind, what, 0, draw(BAD_NUMBERS | st.sampled_from([0.0, -2e7]))
+        row = draw(st.integers(0, 7))
+        return kind, what, row, draw(st.integers(0, 7).filter(lambda r: r != row))
+    what = draw(st.sampled_from(["index", "arity", "value"]))
+    rec = draw(st.integers(0, 7))
+    if what == "index":
+        # Out of range, or the index of another record (a repeat).
+        other = st.integers(0, 7).filter(lambda i: i != rec)
+        return kind, what, rec, draw(st.integers(8, 10**6) | st.integers(-10**6, -1) | other)
+    if what == "arity":
+        return kind, what, rec, draw(st.sampled_from([0, 1, 2, 3, 4, 6, 7]))
+    field = draw(st.integers(1, 3))
+    return kind, what, (rec, field), draw(BAD_NUMBERS | st.sampled_from([None, "x"]))
+
+
+def _write_mutated(valid, mutation, d):
+    kind, what, pos, value = mutation
+    if kind == "sensors":
+        doc = json.loads(json.dumps(valid["sensors"]))
+        if what == "index":
+            doc["elements"][pos][0] = value
+        elif what == "arity":
+            rec = doc["elements"][pos]
+            doc["elements"][pos] = (rec + [0.0, 0.0])[:value]
+        else:
+            doc["elements"][pos[0]][pos[1]] = value
+        path = os.path.join(d, "g.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        return path
+    raw, header = valid[kind]
+    raw, header = raw.copy(), dict(header)
+    if what == "payload":
+        raw[pos] = value
+    elif what == "detector_ids":
+        header["detector_ids"] = list(header["detector_ids"])
+        header["detector_ids"][pos] = header["detector_ids"][value]
+    else:
+        header[what] = value
+    path = os.path.join(d, "v.f32" if kind == "volume" else "psi.c64")
+    raw.tofile(path)
+    with open(path + ".json", "w") as f:
+        json.dump(header, f)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(file_mutations())
+@example(("sensors", "index", 1, 0))        # a repeated index
+@example(("sensors", "index", 0, 99))       # out of range in a 2x4 array
+@example(("sensors", "arity", 0, 4))        # a 4-field record
+@example(("volume", "payload", 0, math.nan))
+@example(("volume", "pitch_m", 0, math.nan))
+@example(("spectra", "payload", 0, math.nan))
+@example(("spectra", "fs", 0, math.nan))
+@example(("spectra", "detector_ids", 1, 0))
+def test_malformed_input_file_exits_one(valid_files, mutation):
+    with tempfile.TemporaryDirectory() as d:
+        path = _write_mutated(valid_files, mutation, d)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["validate", path])
+    assert code == 1
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()

@@ -5,7 +5,6 @@ import pytest
 
 from pact.errors import GeometryMismatchError
 from pact.forward import (
-    AcousticMedium,
     PhysicsMask,
     ReceiveChain,
     Spectra,
@@ -161,21 +160,6 @@ def test_adjoint_single_entry_is_conjugate_kernel(grid8, array10, medium, chain1
                      / (4 * np.pi * R) * grid8.pitch_m**3)
     expect = np.real(kernel * vals[m, k]).reshape(grid8.shape)
     assert np.allclose(vol.data, expect.astype(np.float32), rtol=1e-5, atol=1e-30)
-
-
-def test_adjoint_consistency_with_attenuation(grid8, array10, chain16):
-    lossy = AcousticMedium(c0=1500.0, alpha0=2.0, alpha_exponent=1.5)
-    rng = np.random.default_rng(6)
-    x = Volume(rng.random((8, 8, 8)).astype(np.float32), grid8.pitch_m)
-    ax = forward_operator(x, array10, lossy, chain16)
-    lossless = forward_operator(x, array10, AcousticMedium(), chain16)
-    assert np.all(np.abs(ax.values) < np.abs(lossless.values))
-    y = rng.standard_normal(ax.values.shape) + 1j * rng.standard_normal(ax.values.shape)
-    aty = adjoint_operator(Spectra(y, chain16.freq_hz, array10.active_indices),
-                           array10, lossy, chain16, grid8)
-    lhs = float(np.real(np.sum(np.conj(ax.values) * y)))
-    rhs = float(np.sum(x.data.astype(np.float64) * aty.data.astype(np.float64)))
-    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-6
 
 
 def test_per_channel_gain_scales_rows(grid8, array10, medium):

@@ -306,5 +306,3 @@ def test_iter_config_validation():
         IterConfig(huber_delta=0.0)
     with pytest.raises(ValueError):
         IterConfig(power_iters=2)
-    with pytest.raises(ValueError):
-        IterConfig(warm_start="hot")

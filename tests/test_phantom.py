@@ -3,7 +3,6 @@ import pytest
 
 from pact.phantom import (
     GrowthParams,
-    OpticalProperties,
     VesselTree,
     default_tree_bbox,
     grow_vessel_tree,
@@ -138,19 +137,6 @@ def test_out_of_grid_tree_warns_and_clips():
     with pytest.warns(UserWarning):
         vol = make_initial_pressure(tree, grid, sigma_vox=0.0)
     assert vol.data.max() == 1.0  # clipped, not an error
-
-
-def test_optical_properties_peak_pressure():
-    opt = OpticalProperties(grueneisen=0.2, mu_a=25.0, fluence=10.0)
-    assert opt.peak_pressure == pytest.approx(50.0)
-    grid = GridSpec((16, 16, 16), 1e-3)
-    tree = grow_vessel_tree(1, 3, default_tree_bbox(grid))
-    vol = make_initial_pressure(tree, grid, p0_scale=opt.peak_pressure, sigma_vox=0.5)
-    assert vol.data.max() == pytest.approx(50.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        OpticalProperties(grueneisen=0.0)
-    with pytest.raises(ValueError):
-        OpticalProperties(fluence=-1.0)
 
 
 def test_volume_file_round_trip(tmp_path):
