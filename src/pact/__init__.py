@@ -20,7 +20,6 @@ from .geometry import (
     SensorArray,
     apply_sampling_pattern,
     build_hemisphere_grid,
-    geodesic_distance,
     quadrature_weights,
 )
 from .metrics import MetricReport, compare_volumes, cosine_similarity, nmse, psnr

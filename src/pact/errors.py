@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the loaders' header check.
 
 ``ValueError`` is used for plain invalid arguments; the classes below mark
 data-dependent failures that the CLI maps to exit code 1.
 """
+
+import math
 
 
 class ToolkitError(Exception):
@@ -27,3 +29,23 @@ class GeometryMismatchError(ToolkitError):
 
 class BasisSupportError(ToolkitError):
     """Kernel support is too small for the sampling density."""
+
+
+_KINDS = {"int": "an integer", "number": "a finite number",
+          "ints": "a list of integers", "numbers": "a list of finite numbers"}
+
+
+def header_field(header, key, kind, source):
+    """``header[key]`` if it is ``kind`` (a key of ``_KINDS``), else a
+    :class:`GeometryMismatchError` naming ``source`` and ``key``."""
+    if not isinstance(header, dict) or key not in header:
+        raise GeometryMismatchError(f"{source}: missing header field '{key}'")
+    value = header[key]
+    items = value if kind.endswith("s") else [value]
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    if not (isinstance(items, list) and all(
+            type(v) is int if kind.startswith("int")
+            else type(v) in (int, float) and math.isfinite(v) for v in items)):
+        got = "" if kind.endswith("s") else f", got {value!r}"
+        raise GeometryMismatchError(f"{source}: header field '{key}' must be {_KINDS[kind]}{got}")
+    return value

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatchError
+from .errors import GeometryMismatchError, header_field
 
 _POSITION_RTOL = 1e-9
 
@@ -158,15 +158,6 @@ def quadrature_weights(array):
     return q
 
 
-def geodesic_distance(u, v):
-    """Great-circle distance (radians) between unit vectors, in [0, pi]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-6 or abs(np.linalg.norm(v) - 1.0) > 1e-6:
-        raise ValueError("geodesic_distance expects unit vectors")
-    return float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
-
-
 def apply_sampling_pattern(array, pattern):
     """Return a copy of ``array`` with the acquisition mask updated.
 
@@ -215,17 +206,12 @@ def save_sensor_array(array, path):
 def load_sensor_array(path):
     with open(path) as f:
         doc = json.load(f)
-    for key in ("radius_m", "n_theta", "n_phi", "elements"):
-        if key not in doc:
-            raise GeometryMismatchError(f"{path}: missing geometry field '{key}'")
-    n_theta, n_phi = int(doc["n_theta"]), int(doc["n_phi"])
-    radius = float(doc["radius_m"])
+    n_theta, n_phi = (header_field(doc, key, "int", path) for key in ("n_theta", "n_phi"))
+    radius = float(header_field(doc, "radius_m", "number", path))
     n = n_theta * n_phi
-    records = doc["elements"]
-    if len(records) != n:
-        raise GeometryMismatchError(
-            f"{path}: {len(records)} element records, header promises {n}"
-        )
+    records = doc.get("elements")
+    if not isinstance(records, list) or len(records) != n:
+        raise GeometryMismatchError(f"{path}: 'elements' must list {n} element records")
     if not all(isinstance(rec, list) and len(rec) == 5 for rec in records):
         raise GeometryMismatchError(
             f"{path}: element records must be [index, theta, phi, weight, active]"

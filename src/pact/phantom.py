@@ -38,10 +38,6 @@ class VesselTree:
     seed: int
     params: GrowthParams = field(default_factory=GrowthParams)
 
-    @property
-    def n_segments(self):
-        return len(self.segments)
-
     def as_arrays(self):
         if not self.segments:
             return (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
@@ -121,6 +117,7 @@ def make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=1.0):
     peak = float(data.max())
     if peak > 0:
         data = data * (p0_scale / peak)
+    # One float32 rounding, as save_volume makes, so pipeline and phantom + forward agree.
     return Volume(data.astype(np.float32), grid.pitch_m, grid.origin_m)
 
 

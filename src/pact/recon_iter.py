@@ -93,7 +93,7 @@ def estimate_op_norm(forward, adjoint, grid, iters=20, seed=0):
 
 
 def tv_huber(x, delta):
-    """Isotropic Huber-TV value and gradient of a volume (or raw 3D array).
+    """Isotropic Huber-TV value and gradient of a 3D array.
 
     Forward differences with replicate boundary; phi_delta(s) = s^2/(2 delta)
     for s <= delta and s - delta/2 beyond.  The gradient is the exact
@@ -101,7 +101,7 @@ def tv_huber(x, delta):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    arr = x.data.astype(np.float64) if isinstance(x, Volume) else np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x, dtype=np.float64)
     dx = np.zeros_like(arr)
     dy = np.zeros_like(arr)
     dz = np.zeros_like(arr)
@@ -122,9 +122,31 @@ def tv_huber(x, delta):
     grad[:, 1:, :] += py[:, :-1, :]
     grad[:, :, :-1] -= pz[:, :, :-1]
     grad[:, :, 1:] += pz[:, :, :-1]
-    if isinstance(x, Volume):
-        return value, Volume(grad.astype(np.float32), x.pitch_m, x.origin_m)
     return value, grad
+
+
+def operator_pair(sensors, medium, chain, grid, threads=1):
+    """The forward operator and its adjoint as maps between float64 vectors.
+
+    ``A`` takes a C-order voxel vector to the active detectors' complex
+    spectra and ``At`` takes spectra back.  Both stay in float64, so the pair
+    is adjoint to rounding (~1e-14 of ||Ax||*||y|| in the dot-product test).
+    The operators are looked up in this module at each call, so a wrapper
+    bound to ``recon_iter.forward_operator`` sees every application.
+    """
+    if isinstance(grid, Volume):
+        grid = grid.grid
+    ids = sensors.active_indices
+
+    def A(xvec):
+        vol = Volume(xvec.reshape(grid.shape), grid.pitch_m, grid.origin_m)
+        return forward_operator(vol, sensors, medium, chain, threads=threads).values
+
+    def At(resid):
+        sp = Spectra(resid, chain.freq_hz, ids)
+        return adjoint_operator(sp, sensors, medium, chain, grid, threads=threads).data.ravel()
+
+    return A, At
 
 
 def fista_reconstruct(psi, sensors, medium, chain, grid, cfg, warm_volume=None):
@@ -136,21 +158,10 @@ def fista_reconstruct(psi, sensors, medium, chain, grid, cfg, warm_volume=None):
     """
     if isinstance(grid, Volume):
         grid = grid.grid
-    threads = cfg.threads
-
-    def A(xvec):
-        vol = Volume(xvec.reshape(grid.shape).astype(np.float32), grid.pitch_m, grid.origin_m)
-        return forward_operator(vol, sensors, medium, chain, threads=threads).values
-
-    def At(resid):
-        sp = Spectra(resid, chain.freq_hz, sensors.active_indices)
-        vol = adjoint_operator(sp, sensors, medium, chain, grid, threads=threads)
-        return vol.data.astype(np.float64).ravel()
-
-    warm_x = None
-    if warm_volume is not None:
-        warm_x = warm_volume.data.astype(np.float64).ravel()
+    A, At = operator_pair(sensors, medium, chain, grid, threads=cfg.threads)
+    warm_x = None if warm_volume is None else warm_volume.data.ravel()
     x, trace = fista_solve(A, At, psi.values, grid, cfg, warm_x=warm_x)
+    # One float32 rounding, as save_volume makes, so report.json equals metrics of the file.
     out = x.reshape(grid.shape).astype(np.float32)
     if cfg.nonneg:
         np.maximum(out, 0.0, out=out)

@@ -1,18 +1,18 @@
 """Cartesian scalar volumes (initial pressure, reconstructions) and their file format.
 
-Disk layout: raw little-endian float32 with x varying fastest, plus a JSON
-sidecar ``<file>.json`` holding ``{nx, ny, nz, pitch_m, origin_m, dtype,
-order}``.  In memory the data array has shape ``(nx, ny, nz)`` and is indexed
-``data[ix, iy, iz]``.
+In memory the data array is float64 with shape ``(nx, ny, nz)``, indexed
+``data[ix, iy, iz]``.  On disk it is raw little-endian float32 (``f32le``)
+with x varying fastest, plus a JSON sidecar ``<file>.json`` holding ``{nx,
+ny, nz, pitch_m, origin_m, dtype, order}``; :func:`save_volume` rounds the
+values to float32.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryMismatchError
+from .errors import GeometryMismatchError, header_field
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,12 @@ class GridSpec:
         return lo, hi
 
     def zeros(self):
-        return Volume(np.zeros(self.shape, dtype=np.float32), self.pitch_m, self.origin_m)
+        return Volume(np.zeros(self.shape), self.pitch_m, self.origin_m)
 
 
 @dataclass
 class Volume:
-    """3D scalar field on a regular grid; ``data`` is float32, shape (nx, ny, nz)."""
+    """3D scalar field on a regular grid; ``data`` is float64, shape (nx, ny, nz)."""
 
     data: np.ndarray
     pitch_m: float
@@ -72,7 +72,7 @@ class Volume:
     grid: GridSpec = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
+        self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3:
             raise ValueError("volume data must be a 3D array")
         self.grid = GridSpec(self.data.shape, self.pitch_m, self.origin_m)
@@ -82,12 +82,9 @@ class Volume:
     def shape(self):
         return self.data.shape
 
-    def copy(self):
-        return Volume(self.data.copy(), self.pitch_m, self.origin_m)
-
 
 def save_volume(vol, path):
-    """Write raw f32le (x fastest) plus the JSON sidecar header."""
+    """Write the data rounded to raw f32le (x fastest) plus the JSON sidecar header."""
     nx, ny, nz = vol.shape
     with open(path, "wb") as f:
         # F-order bytes of an (x, y, z) array put x fastest on disk.
@@ -107,20 +104,19 @@ def save_volume(vol, path):
 
 
 def load_volume(path):
-    """Read a volume written by :func:`save_volume`."""
-    with open(sidecar_path(path)) as f:
+    """Read a volume written by :func:`save_volume` (float32 values held as float64)."""
+    side = sidecar_path(path)
+    with open(side) as f:
         header = json.load(f)
-    for key in ("nx", "ny", "nz", "pitch_m", "origin_m"):
-        if key not in header:
-            raise GeometryMismatchError(f"{sidecar_path(path)}: missing header field '{key}'")
+    shape = tuple(header_field(header, key, "int", side) for key in ("nx", "ny", "nz"))
     if header.get("dtype") != "f32le" or header.get("order") != "x-fastest":
-        raise GeometryMismatchError(f"{sidecar_path(path)}: unsupported dtype/order")
-    pitch = float(header["pitch_m"])
-    if not (math.isfinite(pitch) and pitch > 0):
-        raise GeometryMismatchError(
-            f"{sidecar_path(path)}: pitch_m must be finite and positive, got {pitch}"
-        )
-    shape = (header["nx"], header["ny"], header["nz"])
+        raise GeometryMismatchError(f"{side}: unsupported dtype/order")
+    pitch = float(header_field(header, "pitch_m", "number", side))
+    if pitch <= 0:
+        raise GeometryMismatchError(f"{side}: pitch_m must be positive, got {pitch}")
+    origin = header_field(header, "origin_m", "numbers", side)
+    if len(origin) != 3:
+        raise GeometryMismatchError(f"{side}: origin_m must hold 3 numbers")
     n = shape[0] * shape[1] * shape[2]
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != n:
@@ -130,7 +126,7 @@ def load_volume(path):
     if not np.all(np.isfinite(raw)):
         raise GeometryMismatchError(f"{path}: payload holds non-finite values")
     data = raw.reshape(shape, order="F")
-    return Volume(data, pitch, tuple(header["origin_m"]))
+    return Volume(data, pitch, tuple(origin))
 
 
 def sidecar_path(path):

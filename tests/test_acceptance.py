@@ -40,7 +40,15 @@ from pact.neuralop import (
     make_kernel_basis,
 )
 from pact.phantom import default_tree_bbox, grow_vessel_tree, make_initial_pressure
-from pact.recon_iter import IterConfig, default_lambda, fista_reconstruct, fista_solve, tv_huber
+from pact.recon_iter import (
+    IterConfig,
+    default_lambda,
+    estimate_op_norm,
+    fista_reconstruct,
+    fista_solve,
+    operator_pair,
+    tv_huber,
+)
 from pact.recon_ubp import UbpConfig, ubp_filter, ubp_reconstruct
 from pact.volume import GridSpec, Volume
 
@@ -180,22 +188,7 @@ def _phantom_batch():
                 lam = default_lambda(psi, sub, medium, chain, grid,
                                      threads=THREADS)
                 if op_norm is None:
-                    probe_cfg = IterConfig(power_iters=12, threads=THREADS)
-                    from pact.recon_iter import estimate_op_norm
-
-                    def A(xv):
-                        v = Volume(xv.reshape(grid.shape).astype(np.float32),
-                                   grid.pitch_m, grid.origin_m)
-                        return forward_operator(v, sub, medium, chain,
-                                                threads=THREADS).values
-
-                    def At(r):
-                        from pact.forward import adjoint_operator
-
-                        sp = Spectra(r, chain.freq_hz, sub.active_indices)
-                        return adjoint_operator(sp, sub, medium, chain, grid,
-                                                threads=THREADS).data.astype(np.float64).ravel()
-
+                    A, At = operator_pair(sub, medium, chain, grid, threads=THREADS)
                     op_norm = estimate_op_norm(A, At, grid, iters=12, seed=0)
                 cfg = IterConfig(lambda_tv=lam, max_iters=10, rel_obj_tol=0.0,
                                  power_iters=12, op_norm=op_norm,

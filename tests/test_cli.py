@@ -207,6 +207,29 @@ def valid_files(tmp_path_factory):
 
 
 BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf])
+# JSON values of the wrong type for a number, an integer or a list of numbers.
+BAD_TYPES = st.sampled_from([None, "x", True, [1.0], {"v": 1.0}])
+HEADER_INTS = {"volume": ["nx", "ny", "nz"], "spectra": ["n_t", "n_det", "n_freq"],
+               "sensors": ["n_theta", "n_phi"]}
+HEADER_NUMBERS = {"volume": ["pitch_m"], "spectra": ["fs", "anti_alias_hz"],
+                  "sensors": ["radius_m"]}
+HEADER_LISTS = {"volume": {"origin_m": 3},
+                "spectra": {"response_re": 8, "response_im": 8, "gains": 8}, "sensors": {}}
+
+
+def _header_mutation(draw, kind):
+    """A wrong-type or non-finite header field: (kind, field, element or None, value)."""
+    what = draw(st.sampled_from(HEADER_INTS[kind] + HEADER_NUMBERS[kind]
+                                + sorted(HEADER_LISTS[kind])))
+    if what in HEADER_INTS[kind]:
+        return kind, what, None, draw(BAD_TYPES | st.sampled_from([8.0, 2.5]))
+    if what in HEADER_NUMBERS[kind]:
+        return kind, what, None, draw(BAD_TYPES | BAD_NUMBERS)
+    if draw(st.booleans()):
+        # A null gains field is valid: it means unit gains.
+        return kind, what, None, draw(BAD_TYPES.filter(lambda v: v is not None))
+    pos = draw(st.integers(0, HEADER_LISTS[kind][what] - 1))
+    return kind, what, pos, draw(BAD_NUMBERS | st.sampled_from([None, "x", True]))
 
 
 @st.composite
@@ -214,19 +237,25 @@ def file_mutations(draw):
     """One defect in one valid file: (kind, what, position, value)."""
     kind = draw(st.sampled_from(["volume", "spectra", "sensors"]))
     if kind == "volume":
-        what = draw(st.sampled_from(["payload", "pitch_m"]))
+        what = draw(st.sampled_from(["payload", "pitch_m", "header"]))
         if what == "payload":
             return kind, what, draw(st.integers(0, 511)), draw(BAD_NUMBERS)
+        if what == "header":
+            return _header_mutation(draw, kind)
         return kind, what, 0, draw(BAD_NUMBERS | st.sampled_from([0.0, -1e-3]))
     if kind == "spectra":
-        what = draw(st.sampled_from(["payload", "fs", "detector_ids"]))
+        what = draw(st.sampled_from(["payload", "fs", "detector_ids", "header"]))
         if what == "payload":
             return kind, what, draw(st.integers(0, 2 * 8 * 8 - 1)), draw(BAD_NUMBERS)
+        if what == "header":
+            return _header_mutation(draw, kind)
         if what == "fs":
             return kind, what, 0, draw(BAD_NUMBERS | st.sampled_from([0.0, -2e7]))
         row = draw(st.integers(0, 7))
         return kind, what, row, draw(st.integers(0, 7).filter(lambda r: r != row))
-    what = draw(st.sampled_from(["index", "arity", "value"]))
+    what = draw(st.sampled_from(["index", "arity", "value", "header"]))
+    if what == "header":
+        return _header_mutation(draw, kind)
     rec = draw(st.integers(0, 7))
     if what == "index":
         # Out of range, or the index of another record (a repeat).
@@ -247,8 +276,10 @@ def _write_mutated(valid, mutation, d):
         elif what == "arity":
             rec = doc["elements"][pos]
             doc["elements"][pos] = (rec + [0.0, 0.0])[:value]
-        else:
+        elif what == "value":
             doc["elements"][pos[0]][pos[1]] = value
+        else:
+            doc[what] = value
         path = os.path.join(d, "g.json")
         with open(path, "w") as f:
             json.dump(doc, f)
@@ -260,6 +291,12 @@ def _write_mutated(valid, mutation, d):
     elif what == "detector_ids":
         header["detector_ids"] = list(header["detector_ids"])
         header["detector_ids"][pos] = header["detector_ids"][value]
+    elif what == "sidecar":
+        header = value
+    elif what in HEADER_LISTS[kind] and pos is not None:
+        # The valid file's gains are null; mutate one element of unit gains.
+        header[what] = list(header[what] or [1.0] * 8)
+        header[what][pos] = value
     else:
         header[what] = value
     path = os.path.join(d, "v.f32" if kind == "volume" else "psi.c64")
@@ -269,7 +306,7 @@ def _write_mutated(valid, mutation, d):
     return path
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(file_mutations())
 @example(("sensors", "index", 1, 0))        # a repeated index
 @example(("sensors", "index", 0, 99))       # out of range in a 2x4 array
@@ -279,6 +316,17 @@ def _write_mutated(valid, mutation, d):
 @example(("spectra", "payload", 0, math.nan))
 @example(("spectra", "fs", 0, math.nan))
 @example(("spectra", "detector_ids", 1, 0))
+@example(("volume", "pitch_m", None, None))
+@example(("volume", "nx", None, 8.0))
+@example(("volume", "origin_m", None, [0.0, 0.0]))
+@example(("spectra", "fs", None, None))
+@example(("spectra", "n_freq", None, "8"))
+@example(("spectra", "response_re", 3, math.nan))
+@example(("spectra", "gains", 0, math.inf))
+@example(("spectra", "response_im", None, [1.0]))
+@example(("sensors", "n_phi", None, None))
+@example(("volume", "sidecar", None, [1, 2]))   # JSON, but not an object
+@example(("spectra", "sidecar", None, 5))
 def test_malformed_input_file_exits_one(valid_files, mutation):
     with tempfile.TemporaryDirectory() as d:
         path = _write_mutated(valid_files, mutation, d)

@@ -7,7 +7,6 @@ from pact.geometry import (
     SamplingPattern,
     apply_sampling_pattern,
     build_hemisphere_grid,
-    geodesic_distance,
     load_sensor_array,
     quadrature_weights,
     save_sensor_array,
@@ -68,29 +67,6 @@ def test_quadrature_weights_inactive_zero():
 def test_single_ring_weights():
     arr = build_hemisphere_grid(1, 6, 1.0)
     assert np.allclose(arr.quad_weights, 2 * np.pi / 6, rtol=1e-12)
-
-
-def test_geodesic_distance_basics():
-    n = [0.0, 0.0, 1.0]
-    assert geodesic_distance(n, n) == 0.0
-    assert geodesic_distance(n, [0.0, 0.0, -1.0]) == pytest.approx(np.pi)
-    assert geodesic_distance(n, [1.0, 0.0, 0.0]) == pytest.approx(np.pi / 2)
-    with pytest.raises(ValueError):
-        geodesic_distance([0.0, 0.0, 2.0], n)
-
-
-def test_geodesic_distance_is_a_metric():
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((1000, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    for _ in range(1000):
-        i, j, k = rng.integers(0, 1000, size=3)
-        dij = geodesic_distance(pts[i], pts[j])
-        dji = geodesic_distance(pts[j], pts[i])
-        assert dij == dji  # symmetry is exact
-        dik = geodesic_distance(pts[i], pts[k])
-        dkj = geodesic_distance(pts[k], pts[j])
-        assert dij <= dik + dkj + 1e-9
 
 
 def test_uniform_subsampling_counts():

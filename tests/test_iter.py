@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pact.recon_iter as recon_iter
-from pact.forward import ReceiveChain, Spectra, adjoint_operator, forward_operator
+from pact.forward import ReceiveChain, adjoint_operator, forward_operator
 from pact.geometry import build_hemisphere_grid
 from pact.recon_iter import (
     IterConfig,
     estimate_op_norm,
     fista_reconstruct,
     fista_solve,
+    operator_pair,
     tv_huber,
 )
 from pact.volume import GridSpec, Volume
@@ -124,20 +125,6 @@ def _wideband_setup(grid8, medium):
     return sensors, chain
 
 
-def _operator_pair(grid, sensors, medium, chain):
-    """Forward and adjoint as float64 vector maps, as the solver sees them."""
-    def A(xv):
-        v = Volume(xv.reshape(grid.shape).astype(np.float32), grid.pitch_m)
-        return forward_operator(v, sensors, medium, chain).values
-
-    def At(r):
-        sp = Spectra(r, chain.freq_hz, sensors.active_indices)
-        return adjoint_operator(sp, sensors, medium, chain,
-                                grid).data.astype(np.float64).ravel()
-
-    return A, At
-
-
 def test_fista_noiseless_consistency(grid8, medium):
     from pact.recon_iter import default_lambda
 
@@ -212,7 +199,7 @@ def test_fista_applies_each_operator_once_per_iteration(grid8, medium, monkeypat
     psi = forward_operator(x_true, sensors, medium, chain)
     warm = adjoint_operator(psi, sensors, medium, chain, grid8)
     # Twice the power-iteration estimate bounds ||A||, so no step backtracks.
-    A, At = _operator_pair(grid8, sensors, medium, chain)
+    A, At = operator_pair(sensors, medium, chain, grid8)
     cfg = IterConfig(max_iters=12, rel_obj_tol=0.0,
                      op_norm=2.0 * estimate_op_norm(A, At, grid8, iters=10, seed=0))
     calls = {"forward": 0, "adjoint": 0}
@@ -269,7 +256,7 @@ def test_fista_warm_start_not_worse(grid8, medium):
         assert tw[-1] <= tz[-1] * (1 + 1e-6)
         if op_norm is None:
             # Geometry is shared across seeds; reuse one estimate.
-            A, At = _operator_pair(grid8, sensors, medium, chain)
+            A, At = operator_pair(sensors, medium, chain, grid8)
             op_norm = estimate_op_norm(A, At, grid8, iters=10, seed=0)
 
 

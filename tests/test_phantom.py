@@ -16,12 +16,12 @@ BOX = (np.array([0.0, 0.0, 0.0]), np.array([0.032, 0.032, 0.032]))
 
 def test_single_leaf_is_one_segment():
     tree = grow_vessel_tree(123, 1, BOX)
-    assert tree.n_segments == 1
+    assert len(tree.segments) == 1
 
 
 def test_binary_tree_segment_count():
     tree = grow_vessel_tree(7, 16, BOX)
-    assert tree.n_segments == 31  # 2n - 1
+    assert len(tree.segments) == 31  # 2n - 1
     starts, ends, radii = tree.as_arrays()
     assert np.all(radii > 0)
     # Every segment stays inside the box.
@@ -152,6 +152,11 @@ def test_volume_file_round_trip(tmp_path):
     raw = np.fromfile(path, dtype="<f4")
     assert raw[0] == vol.data[0, 0, 0]
     assert raw[1] == vol.data[1, 0, 0]
+    # Float64 data is held as is in memory and rounded to float32 on disk.
+    wide = Volume(rng.standard_normal((5, 6, 7)), 4e-4)
+    assert wide.data.dtype == np.float64
+    save_volume(wide, path)
+    assert np.array_equal(load_volume(path).data, wide.data.astype(np.float32))
 
 
 def test_parse_grid_string():
