@@ -229,7 +229,11 @@ def cmd_phantom(args):
     tree = grow_vessel_tree(args.seed, args.leaves, default_tree_bbox(grid))
     vol = make_initial_pressure(tree, grid, p0_scale=args.p0, sigma_vox=args.sigma)
     save_volume(vol, args.out)
-    outputs = [args.out]
+    return _with_mip(vol, args, [args.out])
+
+
+def _with_mip(vol, args, outputs):
+    """``outputs``, plus ``args.mip`` once the MIP of ``vol`` is written there."""
     if args.mip:
         save_pgm(max_intensity_projection(vol), args.mip)
         outputs.append(args.mip)
@@ -251,7 +255,7 @@ def cmd_forward(args):
                                   n_freq=args.nf, center_hz=args.center,
                                   derivative=not args.flat_response)
     psi = forward_operator(vol, sensors, medium, chain, threads=args.threads)
-    if not math.isinf(args.snr):
+    if args.snr != math.inf:
         psi = add_noise(psi, args.snr, args.seed + 1)
     save_spectra(psi, chain, args.out, geometry_file=args.geom, c0=args.c0)
     return [args.out]
@@ -289,18 +293,18 @@ def _load_recon_inputs(args):
     return psi, chain, sensors, grid, header
 
 
+def _back_project(psi, chain, sensors, grid, args):
+    """UBP of the spectra: time traces, the d/dt[t p] filter, back-projection."""
+    traces = ubp_filter(to_time_domain(psi, chain), 1.0 / chain.fs)
+    return ubp_reconstruct(traces, sensors, grid, UbpConfig(c0=args.c0), fs=chain.fs,
+                           threads=args.threads)
+
+
 def cmd_ubp(args):
     psi, chain, sensors, grid, _ = _load_recon_inputs(args)
-    traces = to_time_domain(psi, chain)
-    filtered = ubp_filter(traces, 1.0 / chain.fs)
-    vol = ubp_reconstruct(filtered, sensors, grid, UbpConfig(c0=args.c0), fs=chain.fs,
-                          threads=args.threads)
+    vol = _back_project(psi, chain, sensors, grid, args)
     save_volume(vol, args.out)
-    outputs = [args.out]
-    if args.mip:
-        save_pgm(max_intensity_projection(vol), args.mip)
-        outputs.append(args.mip)
-    return outputs
+    return _with_mip(vol, args, [args.out])
 
 
 def cmd_iter(args):
@@ -308,9 +312,7 @@ def cmd_iter(args):
     medium = AcousticMedium(c0=args.c0)
     warm = None
     if args.warm == "ubp":
-        traces = ubp_filter(to_time_domain(psi, chain), 1.0 / chain.fs)
-        warm = ubp_reconstruct(traces, sensors, grid, UbpConfig(c0=args.c0),
-                               fs=chain.fs, threads=args.threads)
+        warm = _back_project(psi, chain, sensors, grid, args)
     lam = args.lambda_tv
     if lam is None:
         lam = default_lambda(psi, sensors, medium, chain, grid, threads=args.threads)
@@ -326,10 +328,7 @@ def cmd_iter(args):
             for i, v in enumerate(trace):
                 f.write(f"{i},{float(v)!r}\n")
         outputs.append(args.trace)
-    if args.mip:
-        save_pgm(max_intensity_projection(vol), args.mip)
-        outputs.append(args.mip)
-    return outputs
+    return _with_mip(vol, args, outputs)
 
 
 def cmd_metrics(args):
@@ -402,14 +401,12 @@ def cmd_pipeline(args):
                                   n_freq=args.nf, center_hz=args.center,
                                   derivative=not args.flat_response)
     psi = forward_operator(gt, array, medium, chain, threads=args.threads)
-    if not math.isinf(args.snr):
+    if args.snr != math.inf:
         psi = add_noise(psi, args.snr, args.seed + 1)
     save_spectra(psi, chain, path("psi.c64"), geometry_file=path("geom.json"),
                  c0=args.c0)
 
-    traces = ubp_filter(to_time_domain(psi, chain), 1.0 / chain.fs)
-    ubp_vol = ubp_reconstruct(traces, array, grid, UbpConfig(c0=args.c0),
-                              fs=chain.fs, threads=args.threads)
+    ubp_vol = _back_project(psi, chain, array, grid, args)
     if args.recon == "ubp":
         recon = ubp_vol
     else:
@@ -428,11 +425,8 @@ def cmd_pipeline(args):
     with open(path("report.json"), "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
-    outputs = [path("report.json"), path("gt.f32"), path("psi.c64"), path("recon.f32")]
-    if args.mip:
-        save_pgm(max_intensity_projection(recon), args.mip)
-        outputs.append(args.mip)
-    return outputs
+    return _with_mip(recon, args,
+                     [path("report.json"), path("gt.f32"), path("psi.c64"), path("recon.f32")])
 
 
 def cmd_validate(args):

@@ -3,7 +3,7 @@
 The detected spectrum of detector m at angular frequency w_k is the
 discretized free-space single-layer potential
 
-    psi[m, k] = gain_m * H(w_k) * sum_v P(r_v) * exp(i*k*R) / (4*pi*R) * dV,
+    psi[m, k] = H(w_k) * sum_v P(r_v) * exp(i*k*R) / (4*pi*R) * dV,
 
 with R = |r_v - s_m| and real wavenumber k = w_k/c0 of a lossless medium.
 Sums over voxels run in a fixed order (restricted to the nonzero support of
@@ -37,15 +37,14 @@ class ReceiveChain:
 
     Retains ``n_freq`` positive DFT bins of a record of ``n_t`` samples at
     ``fs``; bin k (1-based) sits at angular frequency 2*pi*k/T with
-    T = n_t / fs.
+    T = n_t / fs.  ``response`` (default all ones) multiplies every
+    detector's bin k as given; it is not rescaled.
     """
 
     fs: float
     n_t: int
     n_freq: int
     response: np.ndarray = None
-    per_channel_gain: np.ndarray = None
-    anti_alias_hz: float = 7.5e6
 
     def __post_init__(self):
         if self.fs <= 0 or self.n_t < 2:
@@ -59,11 +58,6 @@ class ReceiveChain:
         self.response = np.asarray(self.response, dtype=np.complex128)
         if self.response.shape != (self.n_freq,):
             raise ValueError("response must hold one complex value per bin")
-        peak = float(np.abs(self.response).max())
-        if peak > 1.0 + 1e-12:
-            self.response = self.response / peak
-        if self.per_channel_gain is not None:
-            self.per_channel_gain = np.asarray(self.per_channel_gain, dtype=np.float64)
 
     @property
     def T(self):
@@ -107,8 +101,7 @@ def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
     freqs = np.arange(1, n_freq + 1) * (fs / n_t)
     response = band_pass_response(freqs, center_hz, fractional_bw, anti_alias_hz,
                                   derivative=derivative)
-    return ReceiveChain(fs=fs, n_t=n_t, n_freq=n_freq, response=response,
-                        anti_alias_hz=anti_alias_hz)
+    return ReceiveChain(fs=fs, n_t=n_t, n_freq=n_freq, response=response)
 
 
 def band_pass_response(freq_hz, center_hz, fractional_bw, anti_alias_hz,
@@ -171,7 +164,6 @@ class PhysicsMask:
 
     mode_indices: np.ndarray
     sensor_indices: np.ndarray
-    seed: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "mode_indices",
@@ -213,15 +205,6 @@ def _support(vol):
     return flat[idx], vol.grid.voxel_coords()[idx]
 
 
-def _chain_gains(chain, n_rows):
-    if chain.per_channel_gain is None:
-        return None
-    g = chain.per_channel_gain
-    if g.shape != (n_rows,):
-        raise ValueError("per_channel_gain length must match the active detector count")
-    return g
-
-
 def forward_operator(p, sensors, medium, chain, threads=1):
     """Simulate complex spectra from an initial-pressure volume.
 
@@ -230,7 +213,6 @@ def forward_operator(p, sensors, medium, chain, threads=1):
     """
     ids, pos = _active_geometry(sensors)
     _check_detectors_outside(pos, p.grid)
-    gains = _chain_gains(chain, ids.size)
     vals, coords = _support(p)
     omega = chain.omega
     dV = p.pitch_m**3
@@ -244,8 +226,6 @@ def forward_operator(p, sensors, medium, chain, threads=1):
                                  medium.c0, dV)
 
         values = np.concatenate(map_chunks(rows, ids.size, DETECTOR_CHUNK, threads))
-    if gains is not None:
-        values *= gains[:, None]
     values *= chain.response[None, :]
     return Spectra(values, chain.freq_hz, ids)
 
@@ -294,14 +274,11 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
         raise GeometryMismatchError("spectra rows do not match the active detector set")
     if psi.n_freq != chain.n_freq:
         raise GeometryMismatchError("spectra bins do not match the receive chain")
-    gains = _chain_gains(chain, ids.size)
     omega = chain.omega
     coords = grid.voxel_coords()
     dV = grid.pitch_m**3
-    # Fold response and gains into the per-row coefficients.
+    # Fold the response into the per-row coefficients.
     coeff = psi.values * np.conj(chain.response)[None, :]
-    if gains is not None:
-        coeff = coeff * gains[:, None]
 
     def partial(a, b):
         return _adjoint_rows(pos[a:b], coeff[a:b], coords, omega, medium.c0, dV)
@@ -360,13 +337,16 @@ def to_time_domain(psi, chain):
 def add_noise(psi, snr_db, rng_seed):
     """Add circular complex Gaussian noise reaching the target SNR in dB.
 
-    ``snr_db = inf`` is the no-noise sentinel.  Noise energy expectation is
-    ||psi||^2 * 10**(-snr_db/10); deterministic in ``rng_seed``.
+    ``snr_db = +inf`` is the no-noise sentinel; any other value must be
+    finite.  Noise energy expectation is ||psi||^2 * 10**(-snr_db/10);
+    deterministic in ``rng_seed``.
     """
     if psi.values.size == 0:
         raise ValueError("cannot add noise to empty spectra")
-    if np.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return psi.copy()
+    if not math.isfinite(snr_db):
+        raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
     energy = psi.energy()
     if energy == 0.0:
         raise ValueError("zero-energy spectra cannot meet a finite target SNR")
@@ -389,7 +369,7 @@ def sample_physics_mask(n_modes, n_sensors, chain, sensors, rng_seed):
     rng = np.random.default_rng(rng_seed)
     modes = np.sort(rng.choice(chain.n_freq, size=n_modes, replace=False))
     rows = np.sort(rng.choice(n_active, size=n_sensors, replace=False))
-    return PhysicsMask(modes, rows, rng_seed)
+    return PhysicsMask(modes, rows)
 
 
 def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
@@ -404,7 +384,6 @@ def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
         raise ValueError("spectra are inconsistent with the sensor array or chain")
     if np.any(mask.sensor_indices >= ids.size) or np.any(mask.mode_indices >= chain.n_freq):
         raise ValueError("mask indices out of range")
-    gains = _chain_gains(chain, ids.size)
     vals, coords = _support(p_hat)
     modes = mask.mode_indices
     dV = p_hat.pitch_m**3
@@ -419,8 +398,6 @@ def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
             pred = _forward_rows(sub_pos[a:b], vals, coords, chain.omega[0], modes,
                                  medium.c0, dV)
         pred *= h[None, :]
-        if gains is not None:
-            pred *= gains[mask.sensor_indices[a:b], None]
         diff = pred - ref[a:b]
         return float(np.einsum("ij,ij->", diff.real, diff.real)
                      + np.einsum("ij,ij->", diff.imag, diff.imag))
@@ -442,11 +419,8 @@ def save_spectra(psi, chain, path, geometry_file=None, c0=None):
         "c0": c0,
         "geometry": geometry_file,
         "detector_ids": [int(i) for i in psi.detector_ids],
-        "anti_alias_hz": float(chain.anti_alias_hz),
         "response_re": [float(v) for v in chain.response.real],
         "response_im": [float(v) for v in chain.response.imag],
-        "gains": None if chain.per_channel_gain is None
-        else [float(g) for g in chain.per_channel_gain],
         "dtype": "c8le",
     }
     with open(str(path) + ".json", "w") as f:
@@ -468,21 +442,20 @@ def load_spectra(path):
     fs = float(header_field(header, "fs", "number", side))
     if fs <= 0:
         raise GeometryMismatchError(f"{side}: fs must be positive, got {fs}")
-    ids = np.asarray(header_field(header, "detector_ids", "ints", side), dtype=np.int64)
+    ids = header_field(header, "detector_ids", "ints", side)
+    if not all(0 <= i < 2**63 for i in ids):
+        raise GeometryMismatchError(f"{side}: detector ids must lie in [0, 2**63)")
+    ids = np.asarray(ids, dtype=np.int64)
     if np.unique(ids).size != ids.size:
         raise GeometryMismatchError(f"{side}: repeated detector id")
     re, im = (header_field(header, key, "numbers", side) for key in ("response_re", "response_im"))
-    gains = header.get("gains")
-    if gains is not None:
-        gains = header_field(header, "gains", "numbers", side)
-    if len(re) != n_freq or len(im) != n_freq or (gains is not None and len(gains) != n_det):
-        raise GeometryMismatchError(f"{side}: response needs n_freq values and gains n_det")
+    if len(re) != n_freq or len(im) != n_freq:
+        raise GeometryMismatchError(f"{side}: response needs n_freq values")
+    # Older sidecars carry "gains": null (unit gains); nothing else is supported.
+    if header.get("gains") is not None:
+        raise GeometryMismatchError(f"{side}: per-channel gains are not supported")
     response = np.asarray(re, dtype=np.float64) + 1j * np.asarray(im, dtype=np.float64)
-    anti_alias_hz = 7.5e6
-    if "anti_alias_hz" in header:
-        anti_alias_hz = float(header_field(header, "anti_alias_hz", "number", side))
-    chain = ReceiveChain(fs=fs, n_t=n_t, n_freq=n_freq, response=response,
-                         per_channel_gain=gains, anti_alias_hz=anti_alias_hz)
+    chain = ReceiveChain(fs=fs, n_t=n_t, n_freq=n_freq, response=response)
     raw = np.fromfile(path, dtype="<c8")
     if raw.size != n_det * n_freq:
         raise GeometryMismatchError(

@@ -2,11 +2,10 @@
 
 Geodesic-disk kernel bases (piecewise linear, Haar, Zernike), the spherical
 discrete-continuous convolution built from them, and the truncated-mode
-spectral layer.  No training loop: parameters are loaded or seeded, and the
+spectral layer.  No training loop: parameters are seeded, and the
 module's contract is exactness of the forward maps.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,16 +22,15 @@ _BASIS_KINDS = ("piecewise_linear", "haar", "zernike")
 class KernelBasis:
     """L basis functions supported on the geodesic ball of radius ``r`` (rad).
 
-    Layout depends on ``kind``: piecewise-linear carries collocation rings
-    (radii plus per-ring azimuth counts, the innermost ring is a single
-    isotropic node), Haar a dyadic radius/azimuth sign structure, Zernike the
+    Layout depends on ``kind``: piecewise-linear has one isotropic node at
+    the disk center and L - 1 equally spaced azimuth nodes on the ring at
+    radius r, Haar a dyadic radius/azimuth sign structure, Zernike the
     OSA-ordered (n, m) index list on the rescaled disk.
     """
 
     kind: str
     L: int
     r: float
-    ring_counts: tuple = None     # piecewise_linear only, e.g. (1, 3)
 
     def __post_init__(self):
         if self.kind not in _BASIS_KINDS:
@@ -43,22 +41,12 @@ class KernelBasis:
             raise ValueError("need at least one basis function")
         if self.kind == "haar" and self.L not in (1, 2, 4, 8):
             raise ValueError("haar basis supports L in {1, 2, 4, 8}")
-        if self.kind == "piecewise_linear":
-            counts = self.ring_counts or (1, self.L - 1)
-            if counts[0] != 1 or sum(counts) != self.L or any(c < 1 for c in counts):
-                raise ValueError("ring counts must start with 1 and sum to L")
-            object.__setattr__(self, "ring_counts", tuple(int(c) for c in counts))
-
-    @property
-    def ring_radii(self):
-        k = len(self.ring_counts)
-        if k == 1:
-            return (0.0,)
-        return tuple(self.r * j / (k - 1) for j in range(k))
+        if self.kind == "piecewise_linear" and self.L < 2:
+            raise ValueError("piecewise-linear basis needs a center node and a ring: L >= 2")
 
 
-def make_kernel_basis(kind, L, r, ring_counts=None):
-    return KernelBasis(kind=kind, L=L, r=r, ring_counts=ring_counts)
+def make_kernel_basis(kind, L, r):
+    return KernelBasis(kind=kind, L=L, r=r)
 
 
 def eval_kernel_basis(basis, rho, phi):
@@ -94,23 +82,16 @@ def _wrap_pi(a):
 
 
 def _eval_piecewise_linear(basis, rho, phi):
-    radii = basis.ring_radii
-    counts = basis.ring_counts
-    d_rho = basis.r / (len(radii) - 1) if len(radii) > 1 else basis.r
+    r = basis.r
+    count = basis.L - 1
     out = np.empty(rho.shape + (basis.L,))
-    col = 0
-    for ring, (rad, count) in enumerate(zip(radii, counts)):
-        radial = _tent((rho - rad) / d_rho)
-        if ring == 0:
-            # Innermost node is isotropic: the disk center has no azimuth.
-            out[..., col] = radial
-            col += 1
-            continue
-        scale = np.sin(rad) / rad
-        for c in range(count):
-            node = 2.0 * np.pi * c / count
-            out[..., col] = radial * _tent(scale * _wrap_pi(phi - node))
-            col += 1
+    # The center node is isotropic: the disk center has no azimuth.
+    out[..., 0] = _tent(rho / r)
+    radial = _tent((rho - r) / r)
+    scale = np.sin(r) / r
+    for c in range(count):
+        node = 2.0 * np.pi * c / count
+        out[..., c + 1] = radial * _tent(scale * _wrap_pi(phi - node))
     return out
 
 
@@ -414,56 +395,3 @@ def fno_random_layer(channels, grid_shape, modes, seed, activation="relu"):
     pointwise = rng.standard_normal((channels, channels)) / np.sqrt(channels)
     bias = rng.standard_normal(channels) * 0.1
     return FnoLayer(tuple(modes), weights, pointwise, bias, activation)
-
-
-def spectra_to_time_features(f, chain):
-    """Inverse DFT along the retained-bin axis, per (channel, theta, phi) fiber.
-
-    Returns real features [C x N_theta x N_phi x N_t]; the imaginary residue
-    is exactly zero by the conjugate-symmetric extension.
-    """
-    from .forward import Spectra, to_time_domain
-
-    f = np.asarray(f, dtype=np.complex128)
-    if f.ndim != 4:
-        raise ValueError("features must be [C x N_theta x N_phi x N_k]")
-    c, n_theta, n_phi, n_k = f.shape
-    if n_k != chain.n_freq:
-        raise ValueError("feature bins do not match the receive chain")
-    flat = f.reshape(c * n_theta * n_phi, n_k)
-    psi = Spectra(flat, chain.freq_hz, np.arange(flat.shape[0]))
-    traces = to_time_domain(psi, chain)
-    return traces.reshape(c, n_theta, n_phi, chain.n_t)
-
-
-def save_disco_weights(layer, path):
-    """Structured-text header plus raw little-endian complex payload."""
-    header = {
-        "kind": "disco",
-        "basis": layer.basis.kind,
-        "L": layer.basis.L,
-        "r": layer.basis.r,
-        "ring_counts": list(layer.basis.ring_counts) if layer.basis.ring_counts else None,
-        "c_out": layer.c_out,
-        "c_in": layer.c_in,
-        "dtype": "c16le",
-    }
-    with open(str(path) + ".json", "w") as fhead:
-        json.dump(header, fhead, indent=1, sort_keys=True)
-        fhead.write("\n")
-    with open(path, "wb") as fbin:
-        fbin.write(np.ascontiguousarray(layer.theta, dtype="<c16").tobytes())
-
-
-def load_disco_theta(path):
-    """Read (basis, theta) back from a weight file pair."""
-    with open(str(path) + ".json") as fhead:
-        header = json.load(fhead)
-    basis = make_kernel_basis(
-        header["basis"], header["L"], header["r"],
-        tuple(header["ring_counts"]) if header.get("ring_counts") else None,
-    )
-    theta = np.fromfile(path, dtype="<c16").reshape(
-        header["c_out"], header["c_in"], header["L"]
-    )
-    return basis, theta

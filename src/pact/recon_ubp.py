@@ -38,15 +38,13 @@ class UbpConfig:
 def ubp_filter(traces, dt):
     """Back-projection filter b(t) = d/dt [t * p(t)].
 
-    Central differences in the interior, one-sided at the ends; exact for
-    constant and linear p.
+    ``traces`` is [n_det x n_t].  Central differences in the interior,
+    one-sided at the ends; exact for constant and linear p.
     """
     traces = np.asarray(traces, dtype=np.float64)
-    if traces.ndim == 1:
-        traces = traces[None, :]
+    if traces.ndim != 2 or traces.shape[1] < 3:
+        raise ValueError("need traces [n_det x n_t] with at least 3 time samples")
     n_t = traces.shape[1]
-    if n_t < 3:
-        raise ValueError("need at least 3 time samples to filter")
     t = np.arange(n_t) * dt
     tp = traces * t[None, :]
     out = np.empty_like(tp)
@@ -56,11 +54,11 @@ def ubp_filter(traces, dt):
     return out
 
 
-def ubp_reconstruct(traces, sensors, grid, cfg, dt=None, fs=None, threads=1):
+def ubp_reconstruct(traces, sensors, grid, cfg, fs, threads=1):
     """Voxel-driven universal back-projection onto ``grid``.
 
     ``traces`` are already-filtered samples [n_active x n_t] in the order of
-    the active elements; pass ``dt`` (or ``fs``).  Out-of-window flight
+    the active elements, sampled at ``fs`` (Hz).  Out-of-window flight
     times contribute zero, but if more than half of all (voxel, detector)
     pairs fall outside the window the record is considered too short.
     """
@@ -68,10 +66,7 @@ def ubp_reconstruct(traces, sensors, grid, cfg, dt=None, fs=None, threads=1):
         grid = grid.grid
     if not isinstance(grid, GridSpec):
         raise ValueError("grid must be a GridSpec or Volume")
-    if dt is None:
-        if fs is None:
-            raise ValueError("provide dt or fs")
-        dt = 1.0 / fs
+    dt = 1.0 / fs
     traces = np.asarray(traces, dtype=np.float64)
     ids = sensors.active_indices
     if ids.size == 0:

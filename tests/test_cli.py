@@ -186,10 +186,8 @@ def test_module_docstring_names_every_subcommand():
     assert set(sub.choices) <= set(re.findall(r"[a-z][a-z-]*", listed))
 
 
-@pytest.fixture(scope="module")
-def valid_files(tmp_path_factory):
-    """A 2x4 sensor array, an 8^3 volume and its spectra, as in-memory parts."""
-    d = tmp_path_factory.mktemp("valid")
+def _tiny_spectra(d):
+    """A 2x4 array, an 8^3 phantom and its spectra in ``d``: (vol, geom, psi) paths."""
     vol, geom, psi = d / "v.f32", d / "g.json", d / "psi.c64"
     assert run(["phantom", "--seed", "1", "--leaves", "2", "--grid", "8x8x8",
                 "--pitch", "0.001", "--out", str(vol)]) == 0
@@ -197,6 +195,14 @@ def valid_files(tmp_path_factory):
                 "--out", str(geom)]) == 0
     assert run(["forward", "--vol", str(vol), "--geom", str(geom), "--nf", "8",
                 "--center", "6e5", "--out", str(psi)]) == 0
+    return vol, geom, psi
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A 2x4 sensor array, an 8^3 volume and its spectra, as in-memory parts."""
+    d = tmp_path_factory.mktemp("valid")
+    vol, geom, psi = _tiny_spectra(d)
     return {
         "volume": (np.fromfile(vol, dtype="<f4"),
                    json.loads((d / "v.f32.json").read_text())),
@@ -211,7 +217,7 @@ BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf])
 BAD_TYPES = st.sampled_from([None, "x", True, [1.0], {"v": 1.0}])
 HEADER_INTS = {"volume": ["nx", "ny", "nz"], "spectra": ["n_t", "n_det", "n_freq"],
                "sensors": ["n_theta", "n_phi"]}
-HEADER_NUMBERS = {"volume": ["pitch_m"], "spectra": ["fs", "anti_alias_hz"],
+HEADER_NUMBERS = {"volume": ["pitch_m"], "spectra": ["fs"],
                   "sensors": ["radius_m"]}
 HEADER_LISTS = {"volume": {"origin_m": 3},
                 "spectra": {"response_re": 8, "response_im": 8, "gains": 8}, "sensors": {}}
@@ -226,7 +232,7 @@ def _header_mutation(draw, kind):
     if what in HEADER_NUMBERS[kind]:
         return kind, what, None, draw(BAD_TYPES | BAD_NUMBERS)
     if draw(st.booleans()):
-        # A null gains field is valid: it means unit gains.
+        # A missing or null gains field is valid: it means unit gains.
         return kind, what, None, draw(BAD_TYPES.filter(lambda v: v is not None))
     pos = draw(st.integers(0, HEADER_LISTS[kind][what] - 1))
     return kind, what, pos, draw(BAD_NUMBERS | st.sampled_from([None, "x", True]))
@@ -252,7 +258,9 @@ def file_mutations(draw):
         if what == "fs":
             return kind, what, 0, draw(BAD_NUMBERS | st.sampled_from([0.0, -2e7]))
         row = draw(st.integers(0, 7))
-        return kind, what, row, draw(st.integers(0, 7).filter(lambda r: r != row))
+        # The valid file's ids are its row numbers, so another row's is a repeat.
+        other = st.integers(0, 7).filter(lambda r: r != row)
+        return kind, what, row, draw(other | st.sampled_from([-1, 2**63, 10**30]))
     what = draw(st.sampled_from(["index", "arity", "value", "header"]))
     if what == "header":
         return _header_mutation(draw, kind)
@@ -290,12 +298,12 @@ def _write_mutated(valid, mutation, d):
         raw[pos] = value
     elif what == "detector_ids":
         header["detector_ids"] = list(header["detector_ids"])
-        header["detector_ids"][pos] = header["detector_ids"][value]
+        header["detector_ids"][pos] = value
     elif what == "sidecar":
         header = value
     elif what in HEADER_LISTS[kind] and pos is not None:
-        # The valid file's gains are null; mutate one element of unit gains.
-        header[what] = list(header[what] or [1.0] * 8)
+        # The valid file has no gains; mutate one element of unit gains.
+        header[what] = list(header.get(what) or [1.0] * 8)
         header[what][pos] = value
     else:
         header[what] = value
@@ -316,6 +324,8 @@ def _write_mutated(valid, mutation, d):
 @example(("spectra", "payload", 0, math.nan))
 @example(("spectra", "fs", 0, math.nan))
 @example(("spectra", "detector_ids", 1, 0))
+@example(("spectra", "detector_ids", 0, 10**30))    # beyond int64
+@example(("spectra", "detector_ids", 0, -1))
 @example(("volume", "pitch_m", None, None))
 @example(("volume", "nx", None, 8.0))
 @example(("volume", "origin_m", None, [0.0, 0.0]))
@@ -336,3 +346,43 @@ def test_malformed_input_file_exits_one(valid_files, mutation):
     assert code == 1
     assert err.getvalue().startswith("error:")
     assert "Traceback" not in err.getvalue()
+
+
+def test_sidecar_with_anti_alias_and_null_gains_still_loads(tmp_path, capsys):
+    _, geom, psi = _tiny_spectra(tmp_path)
+    header = json.loads((tmp_path / "psi.c64.json").read_text())
+    assert "gains" not in header and "anti_alias_hz" not in header
+    legacy = tmp_path / "legacy.c64"
+    legacy.write_bytes(psi.read_bytes())
+    (tmp_path / "legacy.c64.json").write_text(
+        json.dumps(dict(header, anti_alias_hz=7.5e6, gains=None)))
+    recons = []
+    for rf in (psi, legacy):
+        out = tmp_path / f"{rf.stem}_ubp.f32"
+        assert run(["ubp", "--rf", str(rf), "--geom", str(geom), "--grid", "8x8x8",
+                    "--pitch", "0.001", "--out", str(out)]) == 0
+        recons.append(out.read_bytes())
+    assert recons[0] == recons[1]
+    (tmp_path / "legacy.c64.json").write_text(
+        json.dumps(dict(header, gains=[1.0] * header["n_det"])))
+    capsys.readouterr()
+    assert run(["ubp", "--rf", str(legacy), "--geom", str(geom), "--grid", "8x8x8",
+                "--pitch", "0.001", "--out", str(tmp_path / "r.f32")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "legacy.c64.json" in err
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+@pytest.mark.parametrize("command", ["forward", "pipeline"])
+def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
+    if command == "forward":
+        vol, geom, _ = _tiny_spectra(tmp_path)
+        args = ["forward", "--vol", str(vol), "--geom", str(geom), "--nf", "8",
+                "--center", "6e5", "--out", str(tmp_path / "noisy.c64")]
+    else:
+        args = ["pipeline", "--grid", "8x8x8", "--radius", "0.04", "--ntheta", "2",
+                "--nphi", "4", "--nf", "8", "--center", "6e5", "--leaves", "2",
+                "--out-dir", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert run(args + [f"--snr={snr}"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

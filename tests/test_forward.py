@@ -177,17 +177,6 @@ def test_adjoint_single_entry_is_conjugate_kernel(grid8, array10, medium, chain1
     assert np.allclose(vol.data, expect.astype(np.float32), rtol=1e-5, atol=1e-30)
 
 
-def test_per_channel_gain_scales_rows(grid8, array10, medium):
-    gains = np.linspace(0.5, 2.0, 10)
-    chain = ReceiveChain(fs=20e6, n_t=2000, n_freq=16, per_channel_gain=gains)
-    base = ReceiveChain(fs=20e6, n_t=2000, n_freq=16)
-    rng = np.random.default_rng(7)
-    x = Volume(rng.random((8, 8, 8)).astype(np.float32), grid8.pitch_m)
-    with_g = forward_operator(x, array10, medium, chain).values
-    without = forward_operator(x, array10, medium, base).values
-    assert np.allclose(with_g, gains[:, None] * without, rtol=1e-14)
-
-
 def test_time_domain_zero(chain16, array10):
     psi = Spectra(np.zeros((10, 16), dtype=complex), chain16.freq_hz,
                   array10.active_indices)

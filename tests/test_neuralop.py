@@ -10,7 +10,6 @@ from pact.checks import (
     run_disco_checks,
     run_fno_checks,
 )
-from pact.forward import ReceiveChain, Spectra, to_time_domain
 from pact.geometry import build_hemisphere_grid
 from pact.neuralop import (
     DiscoLayer,
@@ -21,10 +20,7 @@ from pact.neuralop import (
     fno_identity_layer,
     fno_layer_apply,
     fno_random_layer,
-    load_disco_theta,
     make_kernel_basis,
-    save_disco_weights,
-    spectra_to_time_features,
 )
 
 R_DEFAULT = 0.1 * np.pi
@@ -285,48 +281,6 @@ def test_fno_modes_must_fit_grid():
                    np.zeros(1))
     with pytest.raises(ValueError):
         fno_layer_apply(bad, np.zeros((1, 8, 8, 4)))
-
-
-def test_spectra_time_features_round_trip():
-    chain = ReceiveChain(fs=20e6, n_t=128, n_freq=10)
-    rng = np.random.default_rng(9)
-    f = rng.standard_normal((2, 4, 6, 10)) + 1j * rng.standard_normal((2, 4, 6, 10))
-    z = spectra_to_time_features(f, chain)
-    assert z.shape == (2, 4, 6, 128)
-    assert np.isrealobj(z)
-    # Forward DFT reproduces the input bins.
-    back = np.conj(np.fft.rfft(z, axis=-1))[..., 1:chain.n_freq + 1]
-    assert np.abs(back - f).max() < 1e-10 * np.abs(f).max()
-
-
-def test_spectra_time_features_match_to_time_domain():
-    chain = ReceiveChain(fs=20e6, n_t=64, n_freq=8)
-    rng = np.random.default_rng(10)
-    f = rng.standard_normal((1, 2, 3, 8)) + 1j * rng.standard_normal((1, 2, 3, 8))
-    z = spectra_to_time_features(f, chain)
-    psi = Spectra(f[0, 1, 2][None, :], chain.freq_hz, np.array([0]))
-    tr = to_time_domain(psi, chain)
-    assert np.allclose(z[0, 1, 2], tr[0], atol=1e-16)
-
-
-def test_zero_features_zero_traces():
-    chain = ReceiveChain(fs=20e6, n_t=64, n_freq=8)
-    z = spectra_to_time_features(np.zeros((1, 2, 2, 8), dtype=complex), chain)
-    assert not np.any(z)
-
-
-def test_disco_weight_file_round_trip(tmp_path):
-    basis = make_kernel_basis("piecewise_linear", 4, R_DEFAULT)
-    rng = np.random.default_rng(11)
-    theta = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
-    sensors = build_hemisphere_grid(6, 12, 1.0)
-    mats = build_disco_matrices(sensors, sensors, basis)
-    layer = DiscoLayer(basis, mats, theta)
-    path = str(tmp_path / "disco.bin")
-    save_disco_weights(layer, path)
-    basis2, theta2 = load_disco_theta(path)
-    assert basis2 == basis
-    assert np.array_equal(theta2, theta)
 
 
 def test_check_suites_all_pass():
