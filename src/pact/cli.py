@@ -18,6 +18,7 @@ from . import __version__
 from .errors import ToolkitError
 from .forward import (
     AcousticMedium,
+    Spectra,
     add_noise,
     default_receive_chain,
     forward_operator,
@@ -83,9 +84,8 @@ def _write_meta(args, outputs, wall):
         f.write("\n")
 
 
-def _add_common(p):
-    p.add_argument("--threads", type=int, default=1, help="worker threads (never changes numbers)")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+_THREADS = dict(type=int, default=1, help="worker threads (never changes numbers)")
+_SEED = dict(type=int, default=0, help="master RNG seed")
 
 
 def _build_parser():
@@ -97,7 +97,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("phantom", help="generate a vascular initial-pressure volume")
-    _add_common(p)
+    p.add_argument("--seed", **_SEED)
     p.add_argument("--leaves", type=int, default=16)
     p.add_argument("--grid", default="64x64x64")
     p.add_argument("--pitch", type=float, default=5e-4)
@@ -108,7 +108,6 @@ def _build_parser():
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("geom", help="write a hemispherical sensor array file")
-    _add_common(p)
     p.add_argument("--ntheta", type=int, default=16)
     p.add_argument("--nphi", type=int, default=48)
     p.add_argument("--radius", type=float, default=0.13)
@@ -117,7 +116,8 @@ def _build_parser():
     p.set_defaults(func=cmd_geom)
 
     p = sub.add_parser("forward", help="simulate spectra from a volume")
-    _add_common(p)
+    p.add_argument("--threads", **_THREADS)
+    p.add_argument("--seed", **_SEED)
     p.add_argument("--vol", required=True)
     p.add_argument("--geom", required=True)
     p.add_argument("--snr", type=float, default=math.inf, help="target SNR in dB (inf = none)")
@@ -131,7 +131,6 @@ def _build_parser():
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("subsample", help="apply an acquisition pattern")
-    _add_common(p)
     p.add_argument("--geom", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--geom-out", required=True)
@@ -140,7 +139,7 @@ def _build_parser():
     p.set_defaults(func=cmd_subsample)
 
     p = sub.add_parser("ubp", help="universal back-projection reconstruction")
-    _add_common(p)
+    p.add_argument("--threads", **_THREADS)
     p.add_argument("--rf", required=True)
     p.add_argument("--geom", required=True)
     p.add_argument("--grid", default="64x64x64")
@@ -151,7 +150,7 @@ def _build_parser():
     p.set_defaults(func=cmd_ubp)
 
     p = sub.add_parser("iter", help="regularized iterative reconstruction (FISTA)")
-    _add_common(p)
+    p.add_argument("--threads", **_THREADS)
     p.add_argument("--rf", required=True)
     p.add_argument("--geom", required=True)
     p.add_argument("--grid", default="64x64x64")
@@ -176,7 +175,7 @@ def _build_parser():
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("disco-check", help="run the spherical DISCO invariant suite")
-    _add_common(p)
+    p.add_argument("--seed", **_SEED)
     p.add_argument("--geom", help="sensor array file (default: built-in 32x64 grid)")
     p.add_argument("--basis", choices=["piecewise_linear", "haar", "zernike"],
                    default="zernike")
@@ -185,7 +184,7 @@ def _build_parser():
     p.set_defaults(func=cmd_disco_check)
 
     p = sub.add_parser("fno-check", help="run the spectral-layer invariant suite")
-    _add_common(p)
+    p.add_argument("--seed", **_SEED)
     p.add_argument("--ntheta", type=int, default=16)
     p.add_argument("--nphi", type=int, default=32)
     p.add_argument("--nk", type=int, default=8)
@@ -194,7 +193,8 @@ def _build_parser():
     p.set_defaults(func=cmd_fno_check)
 
     p = sub.add_parser("pipeline", help="simulate, reconstruct and score in one run")
-    _add_common(p)
+    p.add_argument("--threads", **_THREADS)
+    p.add_argument("--seed", **_SEED)
     p.add_argument("--grid", default="32x32x32")
     p.add_argument("--pitch", type=float, default=1e-3)
     p.add_argument("--radius", type=float, default=0.05)
@@ -382,20 +382,13 @@ def _print_checks(results):
 def cmd_pipeline(args):
     import os
 
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    def path(name):
-        return os.path.join(args.out_dir, name)
-
     shape = parse_grid_string(args.grid)
     grid = GridSpec(shape, args.pitch)
     tree = grow_vessel_tree(args.seed, args.leaves, default_tree_bbox(grid))
     gt = make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=args.sigma)
-    save_volume(gt, path("gt.f32"))
 
     array = build_hemisphere_grid(args.ntheta, args.nphi, args.radius)
     array = apply_sampling_pattern(array, SamplingPattern.parse(args.pattern))
-    save_sensor_array(array, path("geom.json"))
     medium = AcousticMedium(c0=args.c0)
     chain = default_receive_chain(array, grid, medium, fs=args.fs,
                                   n_freq=args.nf, center_hz=args.center,
@@ -403,8 +396,8 @@ def cmd_pipeline(args):
     psi = forward_operator(gt, array, medium, chain, threads=args.threads)
     if args.snr != math.inf:
         psi = add_noise(psi, args.snr, args.seed + 1)
-    save_spectra(psi, chain, path("psi.c64"), geometry_file=path("geom.json"),
-                 c0=args.c0)
+    # One complex64 rounding, as save_spectra makes, so pipeline and forward + ubp agree.
+    psi = Spectra(psi.values.astype(np.complex64), psi.freq_hz, psi.detector_ids)
 
     ubp_vol = _back_project(psi, chain, array, grid, args)
     if args.recon == "ubp":
@@ -414,7 +407,6 @@ def cmd_pipeline(args):
         cfg = IterConfig(lambda_tv=lam, max_iters=args.iters, threads=args.threads)
         recon, _ = fista_reconstruct(psi, array, medium, chain, grid, cfg,
                                      warm_volume=ubp_vol)
-    save_volume(recon, path("recon.f32"))
 
     # Basenames keep the report byte-identical across output directories.
     report = compare_volumes(gt, recon, ref_file="gt.f32", test_file="recon.f32")
@@ -422,6 +414,18 @@ def cmd_pipeline(args):
     doc["pattern"] = args.pattern
     doc["recon"] = args.recon
     doc["seed"] = args.seed
+
+    # Every stage has run, so a stage that fails leaves no file behind.
+    os.makedirs(args.out_dir, exist_ok=True)
+
+    def path(name):
+        return os.path.join(args.out_dir, name)
+
+    save_volume(gt, path("gt.f32"))
+    save_sensor_array(array, path("geom.json"))
+    save_spectra(psi, chain, path("psi.c64"), geometry_file=path("geom.json"),
+                 c0=args.c0)
+    save_volume(recon, path("recon.f32"))
     with open(path("report.json"), "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")

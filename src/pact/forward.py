@@ -85,8 +85,6 @@ def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
     -i*omega factor of the wave-equation solution, so simulated traces have
     the physical N-wave polarity that back-projection expects.
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
     lo, hi = grid.bounding_box()
     corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                         for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
@@ -266,8 +264,6 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
     is the adjoint under that pairing to rounding: the dot-product test
     against the forward holds to ~1e-14 of ||Ax||*||y||.
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
     ids, pos = _active_geometry(sensors)
     _check_detectors_outside(pos, grid)
     if psi.n_det != ids.size or not np.array_equal(psi.detector_ids, ids):

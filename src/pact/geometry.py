@@ -9,48 +9,53 @@ cell so no ring sits exactly at the pole.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryMismatchError, header_field
 
-_POSITION_RTOL = 1e-9
+# Relative tolerance of a sensor file's theta, phi and weight against the grid's values.
+_GRID_RTOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorArray:
-    """Detector positions on a hemisphere of radius ``radius_m`` with cell-area weights.
+    """Equiangular n_theta x n_phi grid on a hemisphere of radius ``radius_m``.
 
-    ``positions`` is (n, 3) in meters, ``angles`` is (n, 2) rows of
-    (theta, phi), ``quad_weights`` is the per-element area (m^2), ``active``
-    is the current acquisition mask.  Element index is
-    ``i_theta * n_phi + i_phi``.
+    Element ``i_theta * n_phi + i_phi`` sits at colatitude
+    theta = (i_theta + 0.5) * (pi/2) / n_theta and azimuth
+    phi = i_phi * 2*pi / n_phi; ``active`` is the acquisition mask.  The
+    read-only ``angles`` ((n, 2) rows of (theta, phi)) and ``positions``
+    ((n, 3), meters) follow from the grid, and :func:`quadrature_weights`
+    gives the cell areas.
     """
 
     radius_m: float
     n_theta: int
     n_phi: int
-    positions: np.ndarray
-    angles: np.ndarray
-    quad_weights: np.ndarray
     active: np.ndarray
+    angles: np.ndarray = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.angles = np.asarray(self.angles, dtype=np.float64)
-        self.quad_weights = np.asarray(self.quad_weights, dtype=np.float64)
-        self.active = np.asarray(self.active, dtype=bool)
-        n = self.n_theta * self.n_phi
-        if not (self.positions.shape == (n, 3) and self.angles.shape == (n, 2)):
-            raise ValueError("inconsistent sensor array field shapes")
-        if self.quad_weights.shape != (n,) or self.active.shape != (n,):
-            raise ValueError("inconsistent sensor array field shapes")
-        radii = np.linalg.norm(self.positions, axis=1)
-        if not np.allclose(radii, self.radius_m, rtol=_POSITION_RTOL, atol=0.0):
-            raise ValueError("positions do not lie on the stated sphere radius")
-        if np.any(self.quad_weights[self.active] <= 0.0):
-            raise ValueError("active elements must carry positive quadrature weights")
+        if self.n_theta < 1 or self.n_phi < 1:
+            raise ValueError("grid dimensions must be >= 1")
+        if not self.radius_m > 0:
+            raise ValueError("radius must be positive")
+        object.__setattr__(self, "active", np.asarray(self.active, dtype=bool))
+        if self.active.shape != (self.n_elements,):
+            raise ValueError(f"active mask must hold {self.n_elements} flags")
+        thetas = (np.arange(self.n_theta) + 0.5) * (np.pi / 2.0) / self.n_theta
+        phis = np.arange(self.n_phi) * 2.0 * np.pi / self.n_phi
+        th = np.repeat(thetas, self.n_phi)
+        ph = np.tile(phis, self.n_theta)
+        positions = self.radius_m * np.stack(
+            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
+        )
+        for name, value in (("angles", np.stack([th, ph], axis=1)), ("positions", positions)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_elements(self):
@@ -59,17 +64,6 @@ class SensorArray:
     @property
     def active_indices(self):
         return np.flatnonzero(self.active)
-
-    def copy(self):
-        return SensorArray(
-            self.radius_m,
-            self.n_theta,
-            self.n_phi,
-            self.positions.copy(),
-            self.angles.copy(),
-            self.quad_weights.copy(),
-            self.active.copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,56 +109,37 @@ class SamplingPattern:
 
 
 def build_hemisphere_grid(n_theta, n_phi, radius_m):
-    """Equiangular hemisphere grid with all elements active.
-
-    theta_i = (i + 0.5) * (pi/2) / n_theta, phi_j = j * 2*pi / n_phi.
-    """
-    if n_theta < 1 or n_phi < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    if radius_m <= 0:
-        raise ValueError("radius must be positive")
-    thetas = (np.arange(n_theta) + 0.5) * (np.pi / 2.0) / n_theta
-    phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    th = np.repeat(thetas, n_phi)
-    ph = np.tile(phis, n_theta)
-    positions = radius_m * np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-    )
-    angles = np.stack([th, ph], axis=1)
-    active = np.ones(n_theta * n_phi, dtype=bool)
-    array = SensorArray(
-        radius_m, n_theta, n_phi, positions, angles,
-        np.ones(n_theta * n_phi), active,
-    )
-    array.quad_weights = quadrature_weights(array)
-    return array
+    """The :class:`SensorArray` grid with every element active."""
+    return SensorArray(radius_m, n_theta, n_phi, np.ones(n_theta * n_phi, dtype=bool))
 
 
-def quadrature_weights(array):
-    """Analytic equiangular cell areas q = R^2 sin(theta) dtheta dphi.
-
-    Inactive elements report weight zero.  Over a fully active grid the
-    weights tile the hemisphere area 2*pi*R^2 exactly (up to round-off).
-    """
+def _cell_areas(array):
+    """Exact equiangular cell areas R^2 * dphi * (cos(th_lo) - cos(th_hi)), mask ignored."""
     d_theta = (np.pi / 2.0) / array.n_theta
     d_phi = 2.0 * np.pi / array.n_phi
-    # Exact cell area: R^2 * dphi * (cos(th_lo) - cos(th_hi)).
     i_theta = np.arange(array.n_theta)
     th_lo = i_theta * d_theta
     th_hi = (i_theta + 1) * d_theta
     ring = array.radius_m**2 * d_phi * (np.cos(th_lo) - np.cos(th_hi))
-    q = np.repeat(ring, array.n_phi)
-    q = np.where(array.active, q, 0.0)
-    return q
+    return np.repeat(ring, array.n_phi)
+
+
+def quadrature_weights(array):
+    """Cell-area quadrature weights q = R^2 sin(theta) dtheta dphi of ``array``.
+
+    The one source of the weights: inactive elements report zero, and over a
+    fully active grid the weights tile the hemisphere area 2*pi*R^2 exactly
+    (up to round-off).
+    """
+    return np.where(array.active, _cell_areas(array), 0.0)
 
 
 def apply_sampling_pattern(array, pattern):
-    """Return a copy of ``array`` with the acquisition mask updated.
+    """Return a new array whose acquisition mask is ``array``'s narrowed by ``pattern``.
 
     Patterns compose with the existing mask (already-inactive elements stay
     inactive), which makes every pattern idempotent.
     """
-    out = array.copy()
     i_phi = np.arange(array.n_elements) % array.n_phi
     i_theta = np.arange(array.n_elements) // array.n_phi
     if pattern.kind == "full":
@@ -181,15 +156,15 @@ def apply_sampling_pattern(array, pattern):
     else:  # limel: keep rows closest to the pole (smallest theta)
         n_keep = max(1, int(round(pattern.fraction * array.n_theta)))
         keep = i_theta < n_keep
-    out.active = array.active & keep
-    return out
+    return SensorArray(array.radius_m, array.n_theta, array.n_phi, array.active & keep)
 
 
 def save_sensor_array(array, path):
-    """Structured-text (JSON) serialization with per-element records."""
+    """JSON with one [index, theta, phi, unmasked cell area, active] record per element."""
+    weights = _cell_areas(array)
     elements = [
         [int(i), float(array.angles[i, 0]), float(array.angles[i, 1]),
-         float(array.quad_weights[i]), bool(array.active[i])]
+         float(weights[i]), bool(array.active[i])]
         for i in range(array.n_elements)
     ]
     doc = {
@@ -204,6 +179,7 @@ def save_sensor_array(array, path):
 
 
 def load_sensor_array(path):
+    """Read a :func:`save_sensor_array` file; its records must match the header's grid."""
     with open(path) as f:
         doc = json.load(f)
     n_theta, n_phi = (header_field(doc, key, "int", path) for key in ("n_theta", "n_phi"))
@@ -227,14 +203,19 @@ def load_sensor_array(path):
         raise GeometryMismatchError(f"{path}: element angles and weights must be finite numbers")
     if not all(type(rec[4]) is bool for rec in records):
         raise GeometryMismatchError(f"{path}: element active flags must be true or false")
-    angles = np.zeros((n, 2))
-    weights = np.zeros(n)
+    values = np.zeros((n, 3))
     active = np.zeros(n, dtype=bool)
-    angles[idx] = [rec[1:3] for rec in records]
-    weights[idx] = [rec[3] for rec in records]
+    values[idx] = [rec[1:4] for rec in records]
     active[idx] = [rec[4] for rec in records]
-    th, ph = angles[:, 0], angles[:, 1]
-    positions = radius * np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-    )
-    return SensorArray(radius, n_theta, n_phi, positions, angles, weights, active)
+    try:
+        array = SensorArray(radius, n_theta, n_phi, active)
+    except ValueError as exc:
+        raise GeometryMismatchError(f"{path}: {exc}") from None
+    grid = np.column_stack([array.angles, _cell_areas(array)])
+    off = np.flatnonzero(~np.isclose(values, grid, rtol=_GRID_RTOL, atol=0.0).all(axis=1))
+    if off.size:
+        raise GeometryMismatchError(
+            f"{path}: element {off[0]} theta, phi or weight is off the "
+            f"{n_theta}x{n_phi} equiangular grid of radius {radius} m"
+        )
+    return array

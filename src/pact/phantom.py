@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .volume import GridSpec, Volume
+from .volume import Volume
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,6 @@ def make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=1.0):
     3 sigma, unit-sum kernel) and rescaled so the maximum equals
     ``p0_scale``.
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
-    if not isinstance(grid, GridSpec):
-        raise ValueError("grid must be a GridSpec or Volume")
     if sigma_vox < 0:
         raise ValueError("smoothing width must be >= 0")
     if p0_scale <= 0:

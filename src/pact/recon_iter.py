@@ -70,8 +70,6 @@ def estimate_op_norm(forward, adjoint, grid, iters=20, seed=0):
     ``adjoint`` maps that output back to a voxel vector.  The Rayleigh
     estimate is non-decreasing in exact arithmetic.
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
     if iters < 3:
         raise ValueError("power iteration needs at least 3 steps")
     rng = np.random.default_rng(seed)
@@ -134,8 +132,6 @@ def operator_pair(sensors, medium, chain, grid, threads=1):
     The operators are looked up in this module at each call, so a wrapper
     bound to ``recon_iter.forward_operator`` sees every application.
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
     ids = sensors.active_indices
 
     def A(xvec):
@@ -156,8 +152,6 @@ def fista_reconstruct(psi, sensors, medium, chain, grid, cfg, warm_volume=None):
     the warm-start value; it is non-increasing by construction (candidates
     that would raise the objective are rejected and momentum restarts).
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
     A, At = operator_pair(sensors, medium, chain, grid, threads=cfg.threads)
     warm_x = None if warm_volume is None else warm_volume.data.ravel()
     x, trace = fista_solve(A, At, psi.values, grid, cfg, warm_x=warm_x)
@@ -177,8 +171,6 @@ def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
     stored products, so each iteration applies ``A`` once (at the candidate)
     and ``At`` once (at the extrapolated point), plus one ``A`` per backtrack.
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
 
     def data_term(ax):
         """0.5*||Ax - y||^2 and the residual Ax - y."""

@@ -16,7 +16,7 @@ import numpy as np
 from ._chunks import map_chunks
 from .errors import WindowTooShortError
 from .geometry import quadrature_weights
-from .volume import GridSpec, Volume
+from .volume import Volume
 
 # Voxel block size; per-voxel sums run over detectors in fixed order, so
 # this affects only speed, never the numbers.  Large blocks keep the GIL
@@ -62,10 +62,6 @@ def ubp_reconstruct(traces, sensors, grid, cfg, fs, threads=1):
     times contribute zero, but if more than half of all (voxel, detector)
     pairs fall outside the window the record is considered too short.
     """
-    if isinstance(grid, Volume):
-        grid = grid.grid
-    if not isinstance(grid, GridSpec):
-        raise ValueError("grid must be a GridSpec or Volume")
     dt = 1.0 / fs
     traces = np.asarray(traces, dtype=np.float64)
     ids = sensors.active_indices

@@ -104,10 +104,23 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_unknown_flag_exits_two(tmp_path):
+def test_unknown_flag_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["phantom", "--does-not-exist", "1", "--out", str(tmp_path / "x.f32")])
     assert exc.value.code == 2
+    # A command takes --threads and --seed only if it reads them.
+    recon = ["--rf", "a.c64", "--geom", "g.json", "--out", "r.f32"]
+    subsample = ["--geom", "g.json", "--pattern", "full", "--geom-out", "h.json"]
+    for command, flag, required in [
+            ("phantom", "--threads", ["--out", "x.f32"]), ("geom", "--threads", ["--out", "g.json"]),
+            ("geom", "--seed", ["--out", "g.json"]), ("subsample", "--threads", subsample),
+            ("subsample", "--seed", subsample), ("ubp", "--seed", recon), ("iter", "--seed", recon),
+            ("disco-check", "--threads", []), ("fno-check", "--threads", [])]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, "1", *required])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_no_command_exits_two():
@@ -177,6 +190,37 @@ def test_pipeline_determinism_across_threads(tmp_path):
         assert a == b, f"{fname} differs between thread counts"
     report = json.loads((outs[0] / "report.json").read_text())
     assert set(report) >= {"cosine", "psnr_db", "nmse", "pattern", "recon"}
+
+
+@pytest.mark.parametrize("recon", ["ubp", "iter"])
+def test_pipeline_equals_its_stages(tmp_path, capsys, recon):
+    # The pipeline's files are what phantom, geom, forward and ubp (or iter) write.
+    run_dir, st = tmp_path / "run", tmp_path / "stages"
+    st.mkdir()
+    grid = ["--grid", "16x16x16", "--pitch", "0.001"]
+    assert run(["pipeline", "--seed", "7", "--ntheta", "4", "--nphi", "12", "--snr", "30",
+                "--recon", recon, "--iters", "3", "--out-dir", str(run_dir), *grid]) == 0
+    assert run(["phantom", "--seed", "7", "--leaves", "12", "--out", str(st / "gt.f32"),
+                *grid]) == 0
+    assert run(["geom", "--ntheta", "4", "--nphi", "12", "--radius", "0.05",
+                "--out", str(st / "geom.json")]) == 0
+    assert run(["forward", "--vol", str(st / "gt.f32"), "--geom", str(st / "geom.json"),
+                "--seed", "7", "--snr", "30", "--nf", "48", "--center", "9e5",
+                "--out", str(st / "psi.c64")]) == 0
+    inputs = ["--rf", str(st / "psi.c64"), "--geom", str(st / "geom.json"),
+              "--out", str(st / "recon.f32"), *grid]
+    if recon == "ubp":
+        assert run(["ubp", *inputs]) == 0
+    else:
+        assert run(["iter", "--warm", "ubp", "--iters", "3", *inputs]) == 0
+    for name in ("gt.f32", "geom.json", "psi.c64", "recon.f32"):
+        assert (run_dir / name).read_bytes() == (st / name).read_bytes(), name
+    capsys.readouterr()
+    assert run(["metrics", "--ref", str(st / "gt.f32"), "--test", str(st / "recon.f32")]) == 0
+    staged = json.loads(capsys.readouterr().out)
+    report = json.loads((run_dir / "report.json").read_text())
+    assert [report[k] for k in ("cosine", "psnr_db", "nmse")] == \
+        [staged[k] for k in ("cosine", "psnr_db", "nmse")]
 
 
 def test_module_docstring_names_every_subcommand():
@@ -286,6 +330,8 @@ def _write_mutated(valid, mutation, d):
             doc["elements"][pos] = (rec + [0.0, 0.0])[:value]
         elif what == "value":
             doc["elements"][pos[0]][pos[1]] = value
+        elif what == "scale":
+            doc["elements"][pos[0]][pos[1]] *= value
         else:
             doc[what] = value
         path = os.path.join(d, "g.json")
@@ -335,6 +381,9 @@ def _write_mutated(valid, mutation, d):
 @example(("spectra", "gains", 0, math.inf))
 @example(("spectra", "response_im", None, [1.0]))
 @example(("sensors", "n_phi", None, None))
+@example(("sensors", "scale", (5, 1), 1.1))   # a theta off the grid
+@example(("sensors", "scale", (3, 2), 1.1))   # a phi off the grid
+@example(("sensors", "scale", (6, 3), 2.0))   # a doubled weight
 @example(("volume", "sidecar", None, [1, 2]))   # JSON, but not an object
 @example(("spectra", "sidecar", None, 5))
 def test_malformed_input_file_exits_one(valid_files, mutation):
@@ -386,3 +435,5 @@ def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
     capsys.readouterr()
     assert run(args + [f"--snr={snr}"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    if command == "pipeline":
+        assert not (tmp_path / "run").exists()

@@ -19,7 +19,7 @@ from pact.forward import (
     save_spectra,
     to_time_domain,
 )
-from pact.geometry import build_hemisphere_grid
+from pact.geometry import SensorArray, build_hemisphere_grid
 from pact.volume import GridSpec, Volume
 
 from conftest import dyadic_volume, greens_matrix
@@ -86,15 +86,16 @@ def test_linearity(grid8, array10, medium, chain16):
 
 def test_reciprocity_of_green_factor(medium, chain16):
     # Swapping the voxel and detector positions leaves the factor unchanged.
+    # Each point is (radius, element): a 2x4 grid direction at that radius.
     h = 1e-3
-    p1, p2 = np.array([0.0, 0.0, 0.01]), np.array([0.0, 0.05, 0.08])
+    p1, p2 = (0.01, 1), (0.095, 6)
 
     def pair_spectrum(voxel, det):
-        grid = GridSpec((1, 1, 1), h, origin_m=tuple(voxel))
+        origin = build_hemisphere_grid(2, 4, voxel[0]).positions[voxel[1]]
+        grid = GridSpec((1, 1, 1), h, origin_m=tuple(origin))
         vol = grid.zeros()
         vol.data[0, 0, 0] = 1.0
-        sensors = build_hemisphere_grid(1, 1, float(np.linalg.norm(det)))
-        sensors.positions[0] = det
+        sensors = SensorArray(det[0], 2, 4, np.arange(8) == det[1])
         return forward_operator(vol, sensors, medium, chain16).values[0]
 
     assert np.allclose(pair_spectrum(p1, p2), pair_spectrum(p2, p1), rtol=1e-14)

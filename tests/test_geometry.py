@@ -5,6 +5,7 @@ import pytest
 
 from pact.geometry import (
     SamplingPattern,
+    SensorArray,
     apply_sampling_pattern,
     build_hemisphere_grid,
     load_sensor_array,
@@ -19,21 +20,21 @@ def test_single_detector_grid():
     assert arr.angles[0, 0] == pytest.approx(np.pi / 4)
     assert arr.angles[0, 1] == 0.0
     # One cell carries the whole hemisphere area.
-    assert arr.quad_weights[0] == pytest.approx(2 * np.pi * 0.13**2, rel=1e-12)
+    assert quadrature_weights(arr)[0] == pytest.approx(2 * np.pi * 0.13**2, rel=1e-12)
 
 
 def test_paper_scale_grid():
     arr = build_hemisphere_grid(64, 400, 0.13)
     assert arr.n_elements == 25600
     assert np.all(arr.active)
-    total = arr.quad_weights.sum()
+    total = quadrature_weights(arr).sum()
     assert total == pytest.approx(2 * np.pi * 0.13**2, rel=1e-6)
 
 
 def test_two_by_four_weights_sum():
     arr = build_hemisphere_grid(2, 4, 1.0)
     assert arr.positions.shape == (8, 3)
-    assert arr.quad_weights.sum() == pytest.approx(2 * np.pi, rel=1e-12)
+    assert quadrature_weights(arr).sum() == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def test_positions_on_sphere():
@@ -42,6 +43,11 @@ def test_positions_on_sphere():
     assert np.allclose(radii, 0.07, rtol=1e-12)
     # Upper hemisphere only.
     assert np.all(arr.positions[:, 2] > 0)
+    # Derived from the grid, so read-only.
+    with pytest.raises(ValueError):
+        arr.positions[0] = 0.0
+    with pytest.raises(AttributeError):
+        arr.angles = arr.angles.copy()
 
 
 def test_invalid_grid_arguments():
@@ -51,6 +57,8 @@ def test_invalid_grid_arguments():
         build_hemisphere_grid(4, 0, 1.0)
     with pytest.raises(ValueError):
         build_hemisphere_grid(4, 4, -1.0)
+    with pytest.raises(ValueError):
+        SensorArray(1.0, 4, 4, np.ones(15, dtype=bool))
 
 
 def test_quadrature_weights_inactive_zero():
@@ -66,7 +74,7 @@ def test_quadrature_weights_inactive_zero():
 
 def test_single_ring_weights():
     arr = build_hemisphere_grid(1, 6, 1.0)
-    assert np.allclose(arr.quad_weights, 2 * np.pi / 6, rtol=1e-12)
+    assert np.allclose(quadrature_weights(arr), 2 * np.pi / 6, rtol=1e-12)
 
 
 def test_uniform_subsampling_counts():
@@ -153,7 +161,7 @@ def test_sensor_array_round_trip(tmp_path):
     assert back.radius_m == pytest.approx(0.11)
     assert np.array_equal(back.active, arr.active)
     assert np.allclose(back.positions, arr.positions, atol=1e-15)
-    assert np.allclose(back.quad_weights, arr.quad_weights, rtol=1e-15)
+    assert np.allclose(quadrature_weights(back), quadrature_weights(arr), rtol=1e-15)
     # Header is honest JSON with the declared fields.
     doc = json.loads(path.read_text())
     assert set(doc) == {"radius_m", "n_theta", "n_phi", "elements"}
