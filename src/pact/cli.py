@@ -39,6 +39,7 @@ from .recon_iter import IterConfig, default_lambda, fista_reconstruct
 from .recon_ubp import UbpConfig, ubp_filter, ubp_reconstruct
 from .volume import (
     GridSpec,
+    Volume,
     load_volume,
     max_intensity_projection,
     parse_grid_string,
@@ -214,7 +215,8 @@ def _build_parser():
                    help="drop the -i*omega wave-equation factor from the response")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--mip")
-    p.set_defaults(func=cmd_pipeline)
+    # Stage settings the pipeline does not expose.
+    p.set_defaults(func=cmd_pipeline, p0=1.0, lambda_tv=None, mu=0.0, delta=0.01)
 
     p = sub.add_parser("validate", help="round-trip check a toolkit file")
     p.add_argument("path")
@@ -223,11 +225,21 @@ def _build_parser():
     return parser
 
 
-def cmd_phantom(args):
+def _as_saved(vol):
+    """``vol`` rounded to float32, as :func:`save_volume` stores it."""
+    return Volume(vol.data.astype(np.float32), vol.pitch_m, vol.origin_m)
+
+
+def _phantom(args):
     shape = parse_grid_string(args.grid)
     grid = GridSpec(shape, args.pitch)
     tree = grow_vessel_tree(args.seed, args.leaves, default_tree_bbox(grid))
-    vol = make_initial_pressure(tree, grid, p0_scale=args.p0, sigma_vox=args.sigma)
+    return _as_saved(make_initial_pressure(tree, grid, p0_scale=args.p0,
+                                           sigma_vox=args.sigma))
+
+
+def cmd_phantom(args):
+    vol = _phantom(args)
     save_volume(vol, args.out)
     return _with_mip(vol, args, [args.out])
 
@@ -240,49 +252,54 @@ def _with_mip(vol, args, outputs):
     return outputs
 
 
-def cmd_geom(args):
+def _sensor_array(args):
     array = build_hemisphere_grid(args.ntheta, args.nphi, args.radius)
-    array = apply_sampling_pattern(array, SamplingPattern.parse(args.pattern))
-    save_sensor_array(array, args.out)
+    return apply_sampling_pattern(array, SamplingPattern.parse(args.pattern))
+
+
+def cmd_geom(args):
+    save_sensor_array(_sensor_array(args), args.out)
     return [args.out]
 
 
-def cmd_forward(args):
-    vol = load_volume(args.vol)
-    sensors = load_sensor_array(args.geom)
+def _simulate(vol, sensors, args):
+    """Spectra of ``vol`` with noise at ``args.snr``, rounded as saved; and the chain."""
     medium = AcousticMedium(c0=args.c0)
     chain = default_receive_chain(sensors, vol.grid, medium, fs=args.fs,
                                   n_freq=args.nf, center_hz=args.center,
                                   derivative=not args.flat_response)
     psi = forward_operator(vol, sensors, medium, chain, threads=args.threads)
-    if args.snr != math.inf:
-        psi = add_noise(psi, args.snr, args.seed + 1)
+    psi = add_noise(psi, args.snr, args.seed + 1)
+    return Spectra(psi.values.astype(np.complex64), psi.freq_hz, psi.detector_ids), chain
+
+
+def cmd_forward(args):
+    vol = load_volume(args.vol)
+    sensors = load_sensor_array(args.geom)
+    psi, chain = _simulate(vol, sensors, args)
     save_spectra(psi, chain, args.out, geometry_file=args.geom, c0=args.c0)
     return [args.out]
 
 
 def cmd_subsample(args):
+    if args.rf and not args.out:
+        raise ValueError("--rf needs --out for the filtered spectra")
     sensors = load_sensor_array(args.geom)
-    pattern = SamplingPattern.parse(args.pattern)
-    sub = apply_sampling_pattern(sensors, pattern)
-    save_sensor_array(sub, args.geom_out)
-    outputs = [args.geom_out]
+    sub = apply_sampling_pattern(sensors, SamplingPattern.parse(args.pattern))
     if args.rf:
-        if not args.out:
-            raise ValueError("--rf needs --out for the filtered spectra")
         psi, chain, header = load_spectra(args.rf)
         keep = np.isin(psi.detector_ids, sub.active_indices)
-        filtered = psi.copy()
-        filtered.values = psi.values[keep]
-        filtered.detector_ids = psi.detector_ids[keep]
-        save_spectra(filtered, chain, args.out,
-                     geometry_file=args.geom_out, c0=header.get("c0"))
-        outputs.append(args.out)
-    return outputs
+        psi = Spectra(psi.values[keep], psi.freq_hz, psi.detector_ids[keep])
+    # Everything is read and checked before the first file is written.
+    save_sensor_array(sub, args.geom_out)
+    if not args.rf:
+        return [args.geom_out]
+    save_spectra(psi, chain, args.out, geometry_file=args.geom_out, c0=header.get("c0"))
+    return [args.geom_out, args.out]
 
 
 def _load_recon_inputs(args):
-    psi, chain, header = load_spectra(args.rf)
+    psi, chain, _ = load_spectra(args.rf)
     sensors = load_sensor_array(args.geom)
     if not np.array_equal(psi.detector_ids, sensors.active_indices):
         raise ToolkitError(
@@ -290,7 +307,7 @@ def _load_recon_inputs(args):
         )
     shape = parse_grid_string(args.grid)
     grid = GridSpec(shape, args.pitch)
-    return psi, chain, sensors, grid, header
+    return psi, chain, sensors, grid
 
 
 def _back_project(psi, chain, sensors, grid, args):
@@ -301,18 +318,15 @@ def _back_project(psi, chain, sensors, grid, args):
 
 
 def cmd_ubp(args):
-    psi, chain, sensors, grid, _ = _load_recon_inputs(args)
+    psi, chain, sensors, grid = _load_recon_inputs(args)
     vol = _back_project(psi, chain, sensors, grid, args)
     save_volume(vol, args.out)
     return _with_mip(vol, args, [args.out])
 
 
-def cmd_iter(args):
-    psi, chain, sensors, grid, _ = _load_recon_inputs(args)
+def _fista(psi, chain, sensors, grid, warm, args):
+    """FISTA from the ``warm`` volume (None: zero); returns (volume as saved, trace)."""
     medium = AcousticMedium(c0=args.c0)
-    warm = None
-    if args.warm == "ubp":
-        warm = _back_project(psi, chain, sensors, grid, args)
     lam = args.lambda_tv
     if lam is None:
         lam = default_lambda(psi, sensors, medium, chain, grid, threads=args.threads)
@@ -320,6 +334,15 @@ def cmd_iter(args):
                      max_iters=args.iters, threads=args.threads)
     vol, trace = fista_reconstruct(psi, sensors, medium, chain, grid, cfg,
                                    warm_volume=warm)
+    return _as_saved(vol), trace
+
+
+def cmd_iter(args):
+    psi, chain, sensors, grid = _load_recon_inputs(args)
+    warm = None
+    if args.warm == "ubp":
+        warm = _back_project(psi, chain, sensors, grid, args)
+    vol, trace = _fista(psi, chain, sensors, grid, warm, args)
     save_volume(vol, args.out)
     outputs = [args.out]
     if args.trace:
@@ -382,31 +405,12 @@ def _print_checks(results):
 def cmd_pipeline(args):
     import os
 
-    shape = parse_grid_string(args.grid)
-    grid = GridSpec(shape, args.pitch)
-    tree = grow_vessel_tree(args.seed, args.leaves, default_tree_bbox(grid))
-    gt = make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=args.sigma)
-
-    array = build_hemisphere_grid(args.ntheta, args.nphi, args.radius)
-    array = apply_sampling_pattern(array, SamplingPattern.parse(args.pattern))
-    medium = AcousticMedium(c0=args.c0)
-    chain = default_receive_chain(array, grid, medium, fs=args.fs,
-                                  n_freq=args.nf, center_hz=args.center,
-                                  derivative=not args.flat_response)
-    psi = forward_operator(gt, array, medium, chain, threads=args.threads)
-    if args.snr != math.inf:
-        psi = add_noise(psi, args.snr, args.seed + 1)
-    # One complex64 rounding, as save_spectra makes, so pipeline and forward + ubp agree.
-    psi = Spectra(psi.values.astype(np.complex64), psi.freq_hz, psi.detector_ids)
-
-    ubp_vol = _back_project(psi, chain, array, grid, args)
-    if args.recon == "ubp":
-        recon = ubp_vol
-    else:
-        lam = default_lambda(psi, array, medium, chain, grid, threads=args.threads)
-        cfg = IterConfig(lambda_tv=lam, max_iters=args.iters, threads=args.threads)
-        recon, _ = fista_reconstruct(psi, array, medium, chain, grid, cfg,
-                                     warm_volume=ubp_vol)
+    gt = _phantom(args)
+    array = _sensor_array(args)
+    psi, chain = _simulate(gt, array, args)
+    recon = _back_project(psi, chain, array, gt.grid, args)
+    if args.recon == "iter":
+        recon, _ = _fista(psi, chain, array, gt.grid, recon, args)
 
     # Basenames keep the report byte-identical across output directories.
     report = compare_volumes(gt, recon, ref_file="gt.f32", test_file="recon.f32")

@@ -72,18 +72,23 @@ class ReceiveChain:
         return 2.0 * np.pi * self.freq_hz
 
 
+# Default chain: anti-alias cutoff (Hz), where its raised-cosine rolloff starts
+# (fraction of the cutoff) and record time past the longest flight (s).
+_ANTI_ALIAS_HZ = 7.5e6
+_TAPER_START = 0.8
+_PULSE_SUPPORT_S = 3e-6
+
+
 def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
-                          center_hz=2.12e6, fractional_bw=0.78,
-                          anti_alias_hz=7.5e6, pulse_support_s=3e-6,
-                          derivative=False):
+                          center_hz=2.12e6, fractional_bw=0.78, derivative=False):
     """Receive chain sized so every voxel-to-detector flight fits the window.
 
-    The response is a zero-phase Gaussian band-pass (center 2.12 MHz, 78%
-    fractional FWHM by default) under a raised-cosine anti-alias rolloff,
-    normalized to unit peak; a parametric stand-in for the measured impulse
-    response.  With ``derivative=True`` the response also carries the
-    -i*omega factor of the wave-equation solution, so simulated traces have
-    the physical N-wave polarity that back-projection expects.
+    The record runs 3 us past the longest flight.  The response is a
+    zero-phase Gaussian band-pass (center 2.12 MHz, 78% fractional FWHM by
+    default) under a raised-cosine rolloff to zero at 7.5 MHz, normalized to
+    unit peak; a parametric stand-in for the measured impulse response.  With
+    ``derivative=True`` it also carries the -i*omega factor of the wave
+    equation, so simulated traces have the N-wave polarity UBP expects.
     """
     lo, hi = grid.bounding_box()
     corners = np.array([[x, y, z] for x in (lo[0], hi[0])
@@ -92,24 +97,24 @@ def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
     if act.shape[0] == 0:
         raise ValueError("sensor array has no active elements")
     d = np.linalg.norm(act[:, None, :] - corners[None, :, :], axis=2)
-    t_max = float(d.max()) / medium.c0 + pulse_support_s
+    t_max = float(d.max()) / medium.c0 + _PULSE_SUPPORT_S
     n_t = int(math.ceil(t_max * fs))
     n_t += n_t % 2  # keep the record even
     n_freq = min(n_freq, n_t // 2)
     freqs = np.arange(1, n_freq + 1) * (fs / n_t)
-    response = band_pass_response(freqs, center_hz, fractional_bw, anti_alias_hz,
+    response = band_pass_response(freqs, center_hz, fractional_bw, _ANTI_ALIAS_HZ,
                                   derivative=derivative)
     return ReceiveChain(fs=fs, n_t=n_t, n_freq=n_freq, response=response)
 
 
 def band_pass_response(freq_hz, center_hz, fractional_bw, anti_alias_hz,
-                       taper_start=0.8, derivative=False):
+                       derivative=False):
     """Gaussian band-pass times raised-cosine anti-alias rolloff, unit peak."""
     freq_hz = np.asarray(freq_hz, dtype=np.float64)
     fwhm = fractional_bw * center_hz
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     h = np.exp(-0.5 * ((freq_hz - center_hz) / sigma) ** 2)
-    f0 = taper_start * anti_alias_hz
+    f0 = _TAPER_START * anti_alias_hz
     roll = np.ones_like(freq_hz)
     band = (freq_hz > f0) & (freq_hz < anti_alias_hz)
     roll[band] = 0.5 * (1.0 + np.cos(np.pi * (freq_hz[band] - f0) / (anti_alias_hz - f0)))
@@ -183,6 +188,13 @@ def _active_geometry(sensors):
         raise ValueError("sensor array has no active elements")
     pos = sensors.positions[ids]
     return ids, pos
+
+
+def _check_spectra(psi, ids, chain):
+    if not np.array_equal(psi.detector_ids, ids):
+        raise GeometryMismatchError("spectra rows do not match the active detector set")
+    if psi.n_freq != chain.n_freq:
+        raise GeometryMismatchError("spectra bins do not match the receive chain")
 
 
 def _check_detectors_outside(positions, grid):
@@ -266,10 +278,7 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
     """
     ids, pos = _active_geometry(sensors)
     _check_detectors_outside(pos, grid)
-    if psi.n_det != ids.size or not np.array_equal(psi.detector_ids, ids):
-        raise GeometryMismatchError("spectra rows do not match the active detector set")
-    if psi.n_freq != chain.n_freq:
-        raise GeometryMismatchError("spectra bins do not match the receive chain")
+    _check_spectra(psi, ids, chain)
     omega = chain.omega
     coords = grid.voxel_coords()
     dV = grid.pitch_m**3
@@ -376,8 +385,7 @@ def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
     """
     ids, pos = _active_geometry(sensors)
     _check_detectors_outside(pos, p_hat.grid)
-    if psi.n_det != ids.size or psi.n_freq != chain.n_freq:
-        raise ValueError("spectra are inconsistent with the sensor array or chain")
+    _check_spectra(psi, ids, chain)
     if np.any(mask.sensor_indices >= ids.size) or np.any(mask.mode_indices >= chain.n_freq):
         raise ValueError("mask indices out of range")
     vals, coords = _support(p_hat)

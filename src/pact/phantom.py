@@ -7,7 +7,7 @@ truncated Gaussian before scaling to the target peak pressure.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -32,11 +32,9 @@ class GrowthParams:
 
 @dataclass
 class VesselTree:
-    """Connected tree of cylindrical segments (start, end, radius)."""
+    """Connected tree of cylindrical segments, each (start, end, radius) in meters."""
 
     segments: list
-    seed: int
-    params: GrowthParams = field(default_factory=GrowthParams)
 
     def as_arrays(self):
         if not self.segments:
@@ -92,7 +90,7 @@ def grow_vessel_tree(seed, n_leaves, bbox, params=None):
 
     grow(root_start, root_end, params.root_radius_m, n_leaves,
          params.length_scale * diag)
-    return VesselTree(segments, seed, params)
+    return VesselTree(segments)
 
 
 def make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=1.0):
@@ -101,7 +99,7 @@ def make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=1.0):
     Voxels within a segment radius of its axis are set, the binary volume is
     smoothed by an isotropic Gaussian of ``sigma_vox`` voxels (truncated at
     3 sigma, unit-sum kernel) and rescaled so the maximum equals
-    ``p0_scale``.
+    ``p0_scale``.  The data stay float64; files hold them as float32.
     """
     if sigma_vox < 0:
         raise ValueError("smoothing width must be >= 0")
@@ -113,8 +111,7 @@ def make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=1.0):
     peak = float(data.max())
     if peak > 0:
         data = data * (p0_scale / peak)
-    # One float32 rounding, as save_volume makes, so pipeline and phantom + forward agree.
-    return Volume(data.astype(np.float32), grid.pitch_m, grid.origin_m)
+    return Volume(data, grid.pitch_m, grid.origin_m)
 
 
 def rasterize_tree(tree, grid):

@@ -14,6 +14,7 @@ extrapolated point by linearity, so an iteration costs one application of
 A and one of A^H.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +75,14 @@ def estimate_op_norm(forward, adjoint, grid, iters=20, seed=0):
         raise ValueError("power iteration needs at least 3 steps")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.n_voxels)
-    nv = _vec_norm(v)
+    nv = math.sqrt(_real_inner(v, v))
     if nv == 0.0:
         return 0.0
     v /= nv
     est = 0.0
     for _ in range(iters):
         w = adjoint(forward(v))
-        nw = _vec_norm(w)
+        nw = math.sqrt(_real_inner(w, w))
         if nw == 0.0:
             return 0.0
         # Rayleigh quotient of A^H A at the unit vector v.
@@ -148,18 +149,15 @@ def operator_pair(sensors, medium, chain, grid, threads=1):
 def fista_reconstruct(psi, sensors, medium, chain, grid, cfg, warm_volume=None):
     """FISTA reconstruction; returns (volume, objective trace).
 
-    The trace holds the objective after each accepted iterate, starting with
-    the warm-start value; it is non-increasing by construction (candidates
-    that would raise the objective are rejected and momentum restarts).
+    The volume holds the float64 iterate (>= 0 when ``cfg.nonneg``).  The
+    trace holds the objective after each accepted iterate, starting with the
+    warm-start value; it is non-increasing by construction (candidates that
+    would raise the objective are rejected and momentum restarts).
     """
     A, At = operator_pair(sensors, medium, chain, grid, threads=cfg.threads)
     warm_x = None if warm_volume is None else warm_volume.data.ravel()
     x, trace = fista_solve(A, At, psi.values, grid, cfg, warm_x=warm_x)
-    # One float32 rounding, as save_volume makes, so report.json equals metrics of the file.
-    out = x.reshape(grid.shape).astype(np.float32)
-    if cfg.nonneg:
-        np.maximum(out, 0.0, out=out)
-    return Volume(out, grid.pitch_m, grid.origin_m), trace
+    return Volume(x.reshape(grid.shape), grid.pitch_m, grid.origin_m), trace
 
 
 def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
@@ -175,7 +173,7 @@ def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
     def data_term(ax):
         """0.5*||Ax - y||^2 and the residual Ax - y."""
         resid = ax - y_ref
-        return 0.5 * _sq_norm(resid), resid
+        return 0.5 * _real_inner(resid, resid), resid
 
     def regulariser(xvec):
         """Value and gradient of lambda*TV_delta(x) + 0.5*mu*||x||^2."""
@@ -206,7 +204,7 @@ def fista_solve(A, At, y_ref, grid, cfg, warm_x=None):
         # The back-projection scale is arbitrary; rescale the warm start to
         # the least-squares optimum so it can never start above F(0).
         ax = A(x)
-        denom = _sq_norm(ax)
+        denom = _real_inner(ax, ax)
         if denom > 0.0:
             s = max(_real_inner(ax, y_ref) / denom, 0.0)
             x = s * x
@@ -289,14 +287,3 @@ def default_lambda(psi, sensors, medium, chain, grid, threads=1):
     vol = adjoint_operator(psi, sensors, medium, chain, grid, threads=threads)
     return 1e-4 * float(np.max(np.abs(vol.data)))
 
-
-def _sq_norm(z):
-    z = np.asarray(z).ravel()
-    if np.iscomplexobj(z):
-        re, im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-        return float(np.einsum("i,i->", re, re) + np.einsum("i,i->", im, im))
-    return float(np.einsum("i,i->", z, z))
-
-
-def _vec_norm(v):
-    return float(np.sqrt(np.einsum("i,i->", v, v)))

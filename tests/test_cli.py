@@ -199,7 +199,8 @@ def test_pipeline_equals_its_stages(tmp_path, capsys, recon):
     st.mkdir()
     grid = ["--grid", "16x16x16", "--pitch", "0.001"]
     assert run(["pipeline", "--seed", "7", "--ntheta", "4", "--nphi", "12", "--snr", "30",
-                "--recon", recon, "--iters", "3", "--out-dir", str(run_dir), *grid]) == 0
+                "--recon", recon, "--iters", "3", "--out-dir", str(run_dir),
+                "--mip", str(tmp_path / "run.pgm"), *grid]) == 0
     assert run(["phantom", "--seed", "7", "--leaves", "12", "--out", str(st / "gt.f32"),
                 *grid]) == 0
     assert run(["geom", "--ntheta", "4", "--nphi", "12", "--radius", "0.05",
@@ -208,19 +209,32 @@ def test_pipeline_equals_its_stages(tmp_path, capsys, recon):
                 "--seed", "7", "--snr", "30", "--nf", "48", "--center", "9e5",
                 "--out", str(st / "psi.c64")]) == 0
     inputs = ["--rf", str(st / "psi.c64"), "--geom", str(st / "geom.json"),
-              "--out", str(st / "recon.f32"), *grid]
+              "--out", str(st / "recon.f32"), "--mip", str(st / "recon.pgm"), *grid]
     if recon == "ubp":
         assert run(["ubp", *inputs]) == 0
     else:
         assert run(["iter", "--warm", "ubp", "--iters", "3", *inputs]) == 0
     for name in ("gt.f32", "geom.json", "psi.c64", "recon.f32"):
         assert (run_dir / name).read_bytes() == (st / name).read_bytes(), name
+    assert (tmp_path / "run.pgm").read_bytes() == (st / "recon.pgm").read_bytes()
     capsys.readouterr()
     assert run(["metrics", "--ref", str(st / "gt.f32"), "--test", str(st / "recon.f32")]) == 0
     staged = json.loads(capsys.readouterr().out)
     report = json.loads((run_dir / "report.json").read_text())
     assert [report[k] for k in ("cosine", "psnr_db", "nmse")] == \
         [staged[k] for k in ("cosine", "psnr_db", "nmse")]
+
+
+@pytest.mark.parametrize("rf", [["--rf", "psi.c64"], ["--rf", "missing.c64", "--out", "sub.c64"]],
+                         ids=["rf-without-out", "missing-rf"])
+def test_failed_subsample_writes_nothing(tmp_path, capsys, rf):
+    _tiny_spectra(tmp_path)
+    geom_out = tmp_path / "sub.json"
+    rf = [str(tmp_path / a) if a.endswith(".c64") else a for a in rf]
+    assert run(["subsample", "--geom", str(tmp_path / "g.json"), "--pattern", "uniform:2",
+                "--geom-out", str(geom_out), *rf]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not geom_out.exists() and not (tmp_path / "sub.c64").exists()
 
 
 def test_module_docstring_names_every_subcommand():

@@ -329,6 +329,19 @@ def test_physics_residual_identity_mask_matches_full(grid8, array10, medium, cha
     assert got == pytest.approx(expect, rel=1e-9)
 
 
+def test_foreign_detector_ids_are_a_geometry_mismatch(grid8, array10, medium, chain16):
+    # Rows for ids the array does not have: the residual must not pair them
+    # with the active rows by position, as the adjoint already refuses to.
+    x = Volume(dyadic_volume(np.random.default_rng(17), (8, 8, 8)), grid8.pitch_m)
+    psi = forward_operator(x, array10, medium, chain16)
+    foreign = Spectra(psi.values, psi.freq_hz, psi.detector_ids + 1000)
+    mask = sample_physics_mask(8, 6, chain16, array10, 24)
+    with pytest.raises(GeometryMismatchError):
+        physics_residual(x, foreign, mask, array10, medium, chain16)
+    with pytest.raises(GeometryMismatchError):
+        adjoint_operator(foreign, array10, medium, chain16, grid8)
+
+
 def test_band_pass_response_shape():
     freqs = np.linspace(1e5, 9e6, 200)
     h = band_pass_response(freqs, 2.12e6, 0.78, 7.5e6)

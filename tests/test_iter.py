@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import pact.recon_iter as recon_iter
 from pact.forward import ReceiveChain, adjoint_operator, forward_operator
 from pact.geometry import build_hemisphere_grid
+from pact.phantom import default_tree_bbox, grow_vessel_tree, make_initial_pressure
 from pact.recon_iter import (
     IterConfig,
     estimate_op_norm,
@@ -284,6 +285,17 @@ def test_fista_nonnegativity_is_exact(grid8, array10, medium, chain16):
     cfg = IterConfig(lambda_tv=0.0, max_iters=30, rel_obj_tol=0.0, power_iters=10)
     vol, _ = fista_reconstruct(noisy, array10, medium, chain16, grid8, cfg)
     assert vol.data.min() >= 0.0
+
+
+def test_phantom_and_fista_results_keep_float64(grid8, array10, medium, chain16):
+    # Library results keep their float64 bits; only file output rounds to float32.
+    p0 = make_initial_pressure(grow_vessel_tree(3, 4, default_tree_bbox(grid8)), grid8)
+    psi = forward_operator(p0, array10, medium, chain16)
+    cfg = IterConfig(max_iters=5, power_iters=3)
+    vol, _ = fista_reconstruct(psi, array10, medium, chain16, grid8, cfg)
+    for v in (p0, vol):
+        assert v.data.dtype == np.float64
+        assert not np.array_equal(v.data, v.data.astype(np.float32))
 
 
 def test_iter_config_validation():

@@ -66,7 +66,7 @@ def test_invalid_tree_arguments():
 
 def test_empty_tree_rasterizes_to_zero():
     grid = GridSpec((16, 16, 16), 1e-3)
-    vol = make_initial_pressure(VesselTree([], seed=0), grid, sigma_vox=1.0)
+    vol = make_initial_pressure(VesselTree([]), grid, sigma_vox=1.0)
     assert not np.any(vol.data)
 
 
@@ -77,7 +77,7 @@ def test_capsule_voxel_count_matches_analytic_volume():
     radius = 2.3 * pitch
     a = np.array([-0.015, 0.00037, 0.00021])
     b = np.array([0.015, 0.00037, 0.00021])
-    tree = VesselTree([(tuple(a), tuple(b), radius)], seed=0)
+    tree = VesselTree([(tuple(a), tuple(b), radius)])
     vol = make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=0.0)
     assert vol.data.max() == 1.0
     assert set(np.unique(vol.data)) <= {0.0, 1.0}
@@ -122,18 +122,18 @@ def test_smoothing_never_raises_the_peak():
 def test_rasterization_translation_consistency():
     grid = GridSpec((32, 32, 32), 1e-3)
     seg = ((-0.0052, 0.0003, 0.0001), (0.0071, 0.0003, 0.0001), 0.0021)
-    base = rasterize_tree(VesselTree([seg], seed=0), grid)
+    base = rasterize_tree(VesselTree([seg]), grid)
     shifted_seg = tuple(
         (tuple(np.asarray(p) + [grid.pitch_m, 0, 0]) if i < 2 else p)
         for i, p in enumerate(seg)
     )
-    shifted = rasterize_tree(VesselTree([shifted_seg], seed=0), grid)
+    shifted = rasterize_tree(VesselTree([shifted_seg]), grid)
     assert np.array_equal(shifted[1:, :, :], base[:-1, :, :])
 
 
 def test_out_of_grid_tree_warns_and_clips():
     grid = GridSpec((16, 16, 16), 1e-3)
-    tree = VesselTree([((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), 0.002)], seed=0)
+    tree = VesselTree([((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), 0.002)])
     with pytest.warns(UserWarning):
         vol = make_initial_pressure(tree, grid, sigma_vox=0.0)
     assert vol.data.max() == 1.0  # clipped, not an error
