@@ -282,8 +282,8 @@ def cmd_forward(args):
 
 
 def cmd_subsample(args):
-    if args.rf and not args.out:
-        raise ValueError("--rf needs --out for the filtered spectra")
+    if bool(args.rf) != bool(args.out):
+        raise ValueError("--rf and --out go together: the spectra to filter and their output")
     sensors = load_sensor_array(args.geom)
     sub = apply_sampling_pattern(sensors, SamplingPattern.parse(args.pattern))
     if args.rf:

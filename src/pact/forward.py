@@ -6,8 +6,13 @@ discretized free-space single-layer potential
     psi[m, k] = H(w_k) * sum_v P(r_v) * exp(i*k*R) / (4*pi*R) * dV,
 
 with R = |r_v - s_m| and real wavenumber k = w_k/c0 of a lossless medium.
-Sums over voxels run in a fixed order (restricted to the nonzero support of
-P), so results are bitwise reproducible for any thread count.
+:func:`forward_operator` evaluates this sum exactly and
+:func:`adjoint_operator` is its adjoint; they are the simulator and the
+oracle.  :func:`projector_forward` and :func:`projector_adjoint` are the
+iterative solver's faster pair: the same sum through a 1-D NUFFT in the
+flight phase, within about 1e-4 of the exact pair.  Sums over voxels run
+in a fixed order (restricted to the nonzero support of P in the forward
+maps), so results are bitwise reproducible for any thread count.
 """
 
 import math
@@ -319,6 +324,132 @@ def _adjoint_rows(det_pos, coeff, coords, omega, c0, dV):
                 ph *= base
         acc += det_acc * w
     return acc
+
+
+# Oversampling of the projector's phase grid: n = 2 * _OVERSAMPLE * n_freq cells.
+# The error against the exact sum falls about 4x per doubling.
+_OVERSAMPLE = 64
+# Voxels per block of the projector's [detector chunk x voxel] arrays, which
+# keeps them near cache size and bounds their memory at any grid size.
+_VOXEL_BLOCK = 8192
+
+
+def _phase_cells(chain):
+    """Cell count n of the projector's grid and the bins' 1/sinc^2 correction."""
+    n = 2 * _OVERSAMPLE * chain.n_freq
+    return n, 1.0 / np.sinc(np.arange(1, chain.n_freq + 1) / n) ** 2
+
+
+def _flight_cells(pos, coords, omega1, c0, n):
+    """Flight geometry of detector chunks: ``cells(a, b, lo, hi) -> (R, idx, frac)``.
+
+    For every pair of a detector in ``pos[a:b]`` and a voxel in
+    ``coords[lo:hi]``, R [d, v] is their distance; idx is the cell floor(u)
+    mod n of the flight phase u = (omega1 * R / c0) * n / (2 pi), offset by
+    row * (n + 1); frac is u - floor(u).  A flight longer than the record
+    wraps, as exp(i k omega1 R / c0) is n-periodic in u.
+    R^2 = |c|^2 - 2 c.s + |s|^2 takes one matrix product per call.
+    """
+    coords_t = np.ascontiguousarray(coords.T)
+    sq_coords = np.einsum("vj,vj->v", coords, coords)
+
+    def cells(a, b, lo, hi):
+        det = pos[a:b]
+        R = (-2.0 * det) @ coords_t[:, lo:hi]
+        R += sq_coords[lo:hi]
+        R += np.einsum("dj,dj->d", det, det)[:, None]
+        np.sqrt(R, out=R)
+        frac = R * (omega1 * n / (2.0 * np.pi * c0))
+        idx = frac.astype(np.int64)  # floor, as u >= 0
+        frac -= idx
+        if idx.max() >= n:
+            idx %= n
+        idx += (n + 1) * np.arange(b - a)[:, None]
+        return R, idx, frac
+
+    return cells
+
+
+def projector_forward(p, sensors, medium, chain, threads=1):
+    """Fast approximation of :func:`forward_operator` (the solver's forward map).
+
+    For each detector, P(r_v) dV / (4 pi R) is spread with linear weights
+    onto a periodic grid over the flight phase omega_1 R / c0, one FFT takes
+    it to the bins, and 1/sinc^2 undoes the triangle kernel: a 1-D type-1
+    NUFFT (Dutt & Rokhlin, SISC 14, 1993), i.e. the interpolation-based
+    imaging model of Wang et al. (PMB 57, 2012).  Relative error against the
+    exact sum is about 1e-4.  Deterministic for any ``threads``.
+    """
+    ids, pos = _active_geometry(sensors)
+    _check_detectors_outside(pos, p.grid)
+    vals, coords = _support(p)
+    n, corr = _phase_cells(chain)
+    n_freq = chain.n_freq
+    scale = p.pitch_m**3 / (4.0 * np.pi)
+    cells = _flight_cells(pos, coords, chain.omega[0], medium.c0, n)
+
+    def rows(a, b):
+        size = (b - a) * (n + 1)
+        f = np.zeros(size)
+        for lo in range(0, vals.size, _VOXEL_BLOCK):
+            R, idx, frac = cells(a, b, lo, lo + _VOXEL_BLOCK)
+            g = vals[lo:lo + _VOXEL_BLOCK] * scale / R
+            upper = g * frac
+            g -= upper
+            f += np.bincount(idx.ravel(), g.ravel(), size)
+            # The upper weights land one cell on; cell n of a row folds onto cell 0.
+            f[1:] += np.bincount(idx.ravel(), upper.ravel(), size)[:-1]
+        f = f.reshape(b - a, n + 1)
+        f[:, 0] += f[:, n]
+        # sum_j f_j exp(+2 pi i k j / n) of a real f is conj(rfft(f))[k].
+        return np.conj(np.fft.rfft(f[:, :n], axis=1)[:, 1:n_freq + 1])
+
+    if vals.size == 0:
+        values = np.zeros((ids.size, n_freq), dtype=np.complex128)
+    else:
+        values = np.concatenate(map_chunks(rows, ids.size, DETECTOR_CHUNK, threads))
+    values *= (chain.response * corr)[None, :]
+    return Spectra(values, chain.freq_hz, ids)
+
+
+def projector_adjoint(psi, sensors, medium, chain, grid, threads=1):
+    """Exact adjoint of :func:`projector_forward` under Re(u^H v).
+
+    Per detector: 1/sinc^2 and the conjugate response, one FFT back to the
+    phase grid, a linear gather at each voxel's cell, then dV / (4 pi R).
+    The dot-product test against the forward holds to ~1e-15 of ||Ax||*||y||.
+    """
+    ids, pos = _active_geometry(sensors)
+    _check_detectors_outside(pos, grid)
+    _check_spectra(psi, ids, chain)
+    n, corr = _phase_cells(chain)
+    cells = _flight_cells(pos, grid.voxel_coords(), chain.omega[0], medium.c0, n)
+    scale = grid.pitch_m**3 / (4.0 * np.pi)
+    coeff = psi.values * (np.conj(chain.response) * corr)[None, :]
+
+    def partial(a, b):
+        spec = np.zeros((b - a, n // 2 + 1), dtype=np.complex128)
+        spec[:, 1:chain.n_freq + 1] = np.conj(coeff[a:b])
+        # Re sum_k c_k exp(-2 pi i k j / n) on cells 0..n, cell n repeating 0.
+        h = np.fft.irfft(spec, n=n, axis=1) * (n / 2.0)
+        h = np.concatenate([h, h[:, :1]], axis=1).ravel()
+        out = np.empty(grid.n_voxels)
+        for lo in range(0, grid.n_voxels, _VOXEL_BLOCK):
+            R, idx, frac = cells(a, b, lo, lo + _VOXEL_BLOCK)
+            lower = h[idx]
+            gathered = h[1:][idx]
+            gathered -= lower
+            gathered *= frac
+            gathered += lower
+            out[lo:lo + _VOXEL_BLOCK] = np.einsum("dv,dv->v", gathered,
+                                                  np.divide(scale, R, out=R))
+        return out
+
+    parts = map_chunks(partial, ids.size, DETECTOR_CHUNK, threads)
+    acc = parts[0]
+    for part in parts[1:]:
+        acc += part
+    return Volume(acc.reshape(grid.shape), grid.pitch_m, grid.origin_m)
 
 
 def to_time_domain(psi, chain):

@@ -225,8 +225,9 @@ def test_pipeline_equals_its_stages(tmp_path, capsys, recon):
         [staged[k] for k in ("cosine", "psnr_db", "nmse")]
 
 
-@pytest.mark.parametrize("rf", [["--rf", "psi.c64"], ["--rf", "missing.c64", "--out", "sub.c64"]],
-                         ids=["rf-without-out", "missing-rf"])
+@pytest.mark.parametrize("rf", [["--rf", "psi.c64"], ["--rf", "missing.c64", "--out", "sub.c64"],
+                                ["--out", "sub.c64"]],
+                         ids=["rf-without-out", "missing-rf", "out-without-rf"])
 def test_failed_subsample_writes_nothing(tmp_path, capsys, rf):
     _tiny_spectra(tmp_path)
     geom_out = tmp_path / "sub.json"

@@ -4,7 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pact.recon_iter as recon_iter
-from pact.forward import ReceiveChain, adjoint_operator, forward_operator
+from pact.forward import (
+    ReceiveChain,
+    adjoint_operator,
+    forward_operator,
+    projector_adjoint,
+    projector_forward,
+)
 from pact.geometry import build_hemisphere_grid
 from pact.phantom import default_tree_bbox, grow_vessel_tree, make_initial_pressure
 from pact.recon_iter import (
@@ -203,7 +209,7 @@ def test_fista_applies_each_operator_once_per_iteration(grid8, medium, monkeypat
     A, At = operator_pair(sensors, medium, chain, grid8)
     cfg = IterConfig(max_iters=12, rel_obj_tol=0.0,
                      op_norm=2.0 * estimate_op_norm(A, At, grid8, iters=10, seed=0))
-    calls = {"forward": 0, "adjoint": 0}
+    calls = {"forward": 0, "adjoint": 0, "exact": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -211,15 +217,18 @@ def test_fista_applies_each_operator_once_per_iteration(grid8, medium, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(recon_iter, "forward_operator",
-                        counted("forward", forward_operator))
-    monkeypatch.setattr(recon_iter, "adjoint_operator",
-                        counted("adjoint", adjoint_operator))
+    monkeypatch.setattr(recon_iter, "projector_forward",
+                        counted("forward", projector_forward))
+    monkeypatch.setattr(recon_iter, "projector_adjoint",
+                        counted("adjoint", projector_adjoint))
+    monkeypatch.setattr(recon_iter, "forward_operator", counted("exact", forward_operator))
+    monkeypatch.setattr(recon_iter, "adjoint_operator", counted("exact", adjoint_operator))
     _, trace = fista_reconstruct(psi, sensors, medium, chain, grid8, cfg,
                                  warm_volume=warm)
     assert len(trace) == 1 + cfg.max_iters
     # One forward rescales the warm start; then one of each per iteration.
-    assert calls == {"forward": 1 + cfg.max_iters, "adjoint": cfg.max_iters}
+    # The solve never applies the exact pair.
+    assert calls == {"forward": 1 + cfg.max_iters, "adjoint": cfg.max_iters, "exact": 0}
 
 
 def test_fista_trace_is_monotone(grid8, array10, medium, chain16):
