@@ -311,10 +311,11 @@ def _load_recon_inputs(args):
 
 
 def _back_project(psi, chain, sensors, grid, args):
-    """UBP of the spectra: time traces, the d/dt[t p] filter, back-projection."""
+    """UBP of the spectra (time traces, the d/dt[t p] filter, back-projection), as saved."""
+    cfg = UbpConfig(c0=args.c0)
     traces = ubp_filter(to_time_domain(psi, chain), 1.0 / chain.fs)
-    return ubp_reconstruct(traces, sensors, grid, UbpConfig(c0=args.c0), fs=chain.fs,
-                           threads=args.threads)
+    return _as_saved(ubp_reconstruct(traces, sensors, grid, cfg, fs=chain.fs,
+                                     threads=args.threads))
 
 
 def cmd_ubp(args):

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the loaders' header check.
+"""Exception types shared across the toolkit, the loaders' header check and
+the parameter check of the constructors.
 
 ``ValueError`` is used for plain invalid arguments; the classes below mark
 data-dependent failures that the CLI maps to exit code 1.
@@ -49,3 +50,9 @@ def header_field(header, key, kind, source):
         got = "" if kind.endswith("s") else f", got {value!r}"
         raise GeometryMismatchError(f"{source}: header field '{key}' must be {_KINDS[kind]}{got}")
     return value
+
+
+def positive(value, what):
+    """Raise a ``ValueError`` naming ``what`` unless ``value`` is finite and above zero."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")

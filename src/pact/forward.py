@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._chunks import DETECTOR_CHUNK, map_chunks
-from .errors import GeometryMismatchError, header_field
+from ._chunks import DETECTOR_CHUNK, VOXEL_BLOCK, map_chunks, tile_distances
+from .errors import GeometryMismatchError, header_field, positive
 from .volume import Volume
 
 
@@ -32,8 +32,7 @@ class AcousticMedium:
     c0: float = 1500.0
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise ValueError("sound speed must be positive")
+        positive(self.c0, "sound speed")
 
 
 @dataclass
@@ -95,6 +94,7 @@ def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
     ``derivative=True`` it also carries the -i*omega factor of the wave
     equation, so simulated traces have the N-wave polarity UBP expects.
     """
+    positive(fs, "sampling rate")
     lo, hi = grid.bounding_box()
     corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                         for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
@@ -115,6 +115,8 @@ def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
 def band_pass_response(freq_hz, center_hz, fractional_bw, anti_alias_hz,
                        derivative=False):
     """Gaussian band-pass times raised-cosine anti-alias rolloff, unit peak."""
+    positive(center_hz, "band-pass center frequency")
+    positive(fractional_bw, "fractional bandwidth")
     freq_hz = np.asarray(freq_hz, dtype=np.float64)
     fwhm = fractional_bw * center_hz
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -329,9 +331,6 @@ def _adjoint_rows(det_pos, coeff, coords, omega, c0, dV):
 # Oversampling of the projector's phase grid: n = 2 * _OVERSAMPLE * n_freq cells.
 # The error against the exact sum falls about 4x per doubling.
 _OVERSAMPLE = 64
-# Voxels per block of the projector's [detector chunk x voxel] arrays, which
-# keeps them near cache size and bounds their memory at any grid size.
-_VOXEL_BLOCK = 8192
 
 
 def _phase_cells(chain):
@@ -348,17 +347,11 @@ def _flight_cells(pos, coords, omega1, c0, n):
     mod n of the flight phase u = (omega1 * R / c0) * n / (2 pi), offset by
     row * (n + 1); frac is u - floor(u).  A flight longer than the record
     wraps, as exp(i k omega1 R / c0) is n-periodic in u.
-    R^2 = |c|^2 - 2 c.s + |s|^2 takes one matrix product per call.
     """
-    coords_t = np.ascontiguousarray(coords.T)
-    sq_coords = np.einsum("vj,vj->v", coords, coords)
+    distances = tile_distances(pos, coords)
 
     def cells(a, b, lo, hi):
-        det = pos[a:b]
-        R = (-2.0 * det) @ coords_t[:, lo:hi]
-        R += sq_coords[lo:hi]
-        R += np.einsum("dj,dj->d", det, det)[:, None]
-        np.sqrt(R, out=R)
+        R = distances(a, b, lo, hi)
         frac = R * (omega1 * n / (2.0 * np.pi * c0))
         idx = frac.astype(np.int64)  # floor, as u >= 0
         frac -= idx
@@ -391,9 +384,9 @@ def projector_forward(p, sensors, medium, chain, threads=1):
     def rows(a, b):
         size = (b - a) * (n + 1)
         f = np.zeros(size)
-        for lo in range(0, vals.size, _VOXEL_BLOCK):
-            R, idx, frac = cells(a, b, lo, lo + _VOXEL_BLOCK)
-            g = vals[lo:lo + _VOXEL_BLOCK] * scale / R
+        for lo in range(0, vals.size, VOXEL_BLOCK):
+            R, idx, frac = cells(a, b, lo, lo + VOXEL_BLOCK)
+            g = vals[lo:lo + VOXEL_BLOCK] * scale / R
             upper = g * frac
             g -= upper
             f += np.bincount(idx.ravel(), g.ravel(), size)
@@ -434,15 +427,15 @@ def projector_adjoint(psi, sensors, medium, chain, grid, threads=1):
         h = np.fft.irfft(spec, n=n, axis=1) * (n / 2.0)
         h = np.concatenate([h, h[:, :1]], axis=1).ravel()
         out = np.empty(grid.n_voxels)
-        for lo in range(0, grid.n_voxels, _VOXEL_BLOCK):
-            R, idx, frac = cells(a, b, lo, lo + _VOXEL_BLOCK)
+        for lo in range(0, grid.n_voxels, VOXEL_BLOCK):
+            R, idx, frac = cells(a, b, lo, lo + VOXEL_BLOCK)
             lower = h[idx]
             gathered = h[1:][idx]
             gathered -= lower
             gathered *= frac
             gathered += lower
-            out[lo:lo + _VOXEL_BLOCK] = np.einsum("dv,dv->v", gathered,
-                                                  np.divide(scale, R, out=R))
+            out[lo:lo + VOXEL_BLOCK] = np.einsum("dv,dv->v", gathered,
+                                                 np.divide(scale, R, out=R))
         return out
 
     parts = map_chunks(partial, ids.size, DETECTOR_CHUNK, threads)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, positive
 from .forward import (Spectra, adjoint_operator, forward_operator, projector_adjoint,
                       projector_forward)
 from .volume import Volume
@@ -60,10 +60,11 @@ class IterConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.lambda_tv < 0 or self.mu_tik < 0:
-            raise ValueError("regularization weights must be >= 0")
-        if self.huber_delta <= 0:
-            raise ValueError("huber_delta must be positive")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.lambda_tv, self.mu_tik)):
+            raise ValueError("regularization weights must be finite and >= 0")
+        positive(self.huber_delta, "huber_delta")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if self.power_iters < 3:
             raise ValueError("power_iters must be >= 3")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryMismatchError, header_field
+from .errors import GeometryMismatchError, header_field, positive
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class GridSpec:
     def __post_init__(self):
         if len(self.shape) != 3 or any(int(n) < 1 for n in self.shape):
             raise ValueError(f"invalid grid shape {self.shape}")
-        if self.pitch_m <= 0:
-            raise ValueError("voxel pitch must be positive")
+        positive(self.pitch_m, "voxel pitch")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         if self.origin_m is None:
             # Center the grid on the coordinate origin.

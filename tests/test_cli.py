@@ -452,3 +452,32 @@ def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
     assert capsys.readouterr().err.startswith("error:")
     if command == "pipeline":
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("forward", "--fs", "0"), ("forward", "--fs", "-1"), ("forward", "--fs", "inf"),
+    ("forward", "--center", "0"), ("forward", "--center", "nan"), ("forward", "--center", "-1"),
+    ("ubp", "--c0", "nan"), ("ubp", "--c0", "inf"), ("ubp", "--pitch", "nan"),
+    ("ubp", "--pitch", "inf"),
+    ("iter", "--c0", "nan"), ("iter", "--pitch", "nan"), ("iter", "--pitch", "inf"),
+    ("iter", "--lambda", "nan"), ("iter", "--iters", "-1"),
+    ("pipeline", "--fs", "0"), ("pipeline", "--c0", "inf"),
+])
+def test_bad_physical_parameter_exits_one(tmp_path, capsys, command, flag, value):
+    vol, geom, psi = _tiny_spectra(tmp_path)
+    out = tmp_path / "out"
+    if command == "forward":
+        args = ["forward", "--vol", str(vol), "--geom", str(geom), "--nf", "8",
+                "--center", "6e5", "--out", str(out)]
+    elif command == "pipeline":
+        args = ["pipeline", "--grid", "8x8x8", "--radius", "0.04", "--ntheta", "2",
+                "--nphi", "4", "--nf", "8", "--center", "6e5", "--leaves", "2",
+                "--out-dir", str(out)]
+    else:
+        args = [command, "--rf", str(psi), "--geom", str(geom), "--grid", "8x8x8",
+                "--pitch", "0.001", "--out", str(out)]
+    capsys.readouterr()
+    assert run(args + [f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))

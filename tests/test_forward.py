@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pact import forward
+from pact import _chunks, forward
 from pact.errors import GeometryMismatchError
 from pact.forward import (
     AcousticMedium,
@@ -31,6 +31,7 @@ from pact.geometry import (
     apply_sampling_pattern,
     build_hemisphere_grid,
 )
+from pact.recon_ubp import UbpConfig, ubp_reconstruct
 from pact.volume import GridSpec, Volume
 
 from conftest import dyadic_volume, greens_matrix
@@ -508,7 +509,7 @@ def test_projector_spans_voxel_blocks(medium, chain16):
     # 9216 voxels: more than one voxel block, the last one partial.
     grid = GridSpec((24, 24, 16), 1e-3)
     sensors = build_hemisphere_grid(2, 3, 0.1)
-    assert grid.n_voxels > forward._VOXEL_BLOCK
+    assert grid.n_voxels > _chunks.VOXEL_BLOCK
     rng = np.random.default_rng(3)
     x = Volume(rng.random(grid.shape), grid.pitch_m)
     mat = greens_matrix(grid, sensors, medium, chain16)
@@ -522,3 +523,63 @@ def test_projector_spans_voxel_blocks(medium, chain16):
     assert np.linalg.norm(back - expect) <= PROJECTOR_ERROR * np.linalg.norm(expect)
     assert abs(np.vdot(got, psi.values.ravel()).real - x.data.ravel() @ back) \
         <= 1e-12 * np.linalg.norm(got) * np.linalg.norm(psi.values)
+
+
+# The exact pair and the kernels around it, on the same random problems.
+
+@settings(max_examples=40, deadline=None)
+@given(problem=projector_problems())
+def test_exact_pair_dot_product_and_linearity(problem):
+    grid, sensors, chain, x, rng = problem
+    ax = forward_operator(x, sensors, MEDIUM, chain).values
+    y = _random_spectra(rng, sensors, chain)
+    aty = adjoint_operator(y, sensors, MEDIUM, chain, grid).data
+    lhs = float(np.sum(ax.real * y.values.real + ax.imag * y.values.imag))
+    rhs = float(np.sum(x.data * aty))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y.values)
+    w = Volume(rng.random(grid.shape), grid.pitch_m)
+    z = Volume(0.5 * x.data - 0.25 * w.data, grid.pitch_m)
+    aw, az = (forward_operator(v, sensors, MEDIUM, chain).values for v in (w, z))
+    scale = np.linalg.norm(0.5 * ax) + np.linalg.norm(0.25 * aw)
+    assert np.linalg.norm(az - 0.5 * ax + 0.25 * aw) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=projector_problems(), data=st.data())
+def test_physics_residual_is_the_masked_full_residual(problem, data):
+    grid, sensors, chain, x, rng = problem
+    psi = _random_spectra(rng, sensors, chain)
+    n_modes = data.draw(st.integers(1, chain.n_freq))
+    n_rows = data.draw(st.integers(1, psi.n_det))
+    mask = sample_physics_mask(n_modes, n_rows, chain, sensors, data.draw(st.integers(0, 99)))
+    full = forward_operator(x, sensors, MEDIUM, chain).values - psi.values
+    expect = float(np.sum(np.abs(full[np.ix_(mask.sensor_indices, mask.mode_indices)]) ** 2))
+    got = physics_residual(x, psi, mask, sensors, MEDIUM, chain)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=projector_problems())
+def test_exact_kernels_are_bitwise_identical_across_threads(problem):
+    grid, sensors, chain, x, rng = problem
+    y = _random_spectra(rng, sensors, chain)
+    mask = PhysicsMask(np.arange(chain.n_freq), np.arange(y.n_det))
+    # A 2000-sample record at 20 MHz covers every flight to the 0.1 m array.
+    traces = rng.standard_normal((y.n_det, 2000))
+    runs = [(forward_operator(x, sensors, MEDIUM, chain, threads=t).values,
+             adjoint_operator(y, sensors, MEDIUM, chain, grid, threads=t).data,
+             physics_residual(x, y, mask, sensors, MEDIUM, chain, threads=t),
+             ubp_reconstruct(traces, sensors, grid, UbpConfig(), fs=20e6, threads=t).data)
+            for t in (1, 2)]
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=projector_problems())
+def test_time_domain_rfft_round_trip(problem):
+    grid, sensors, chain, x, rng = problem
+    psi = _random_spectra(rng, sensors, chain)
+    traces = to_time_domain(psi, chain)
+    assert traces.shape == (psi.n_det, chain.n_t)
+    back = np.conj(np.fft.rfft(traces, axis=1))[:, 1:chain.n_freq + 1]
+    assert np.abs(back - psi.values).max() <= 1e-12 * np.abs(psi.values).max()

@@ -3,7 +3,9 @@ import pytest
 
 from pact.errors import WindowTooShortError
 from pact.forward import AcousticMedium, default_receive_chain, forward_operator, to_time_domain
-from pact.geometry import build_hemisphere_grid
+from pact import _chunks
+from pact.geometry import (SamplingPattern, apply_sampling_pattern, build_hemisphere_grid,
+                           quadrature_weights)
 from pact.recon_ubp import UbpConfig, ubp_filter, ubp_reconstruct
 from pact.volume import GridSpec
 
@@ -81,6 +83,38 @@ def test_reconstruction_is_linear():
     rhs = 2.0 * r1.data.astype(np.float64) + r2.data.astype(np.float64)
     err = np.abs(lhs - rhs).max() / np.abs(rhs).max()
     assert err < 1e-6
+
+
+def ubp_oracle(traces, sensors, grid, c0, fs):
+    """sum_m q_m/R interp(trace_m, R fs/c0), zero past the last interval, over -sum q."""
+    ids = sensors.active_indices
+    q = quadrature_weights(sensors)[ids]
+    coords = grid.voxel_coords()
+    samples = np.arange(traces.shape[1])
+    out = np.zeros(grid.n_voxels)
+    for m, s in enumerate(sensors.positions[ids]):
+        R = np.linalg.norm(coords - s, axis=1)
+        tau = R * fs / c0
+        b = np.where(tau < traces.shape[1] - 1, np.interp(tau, samples, traces[m]), 0.0)
+        out += q[m] * b / R
+    return out / -q.sum()
+
+
+def test_matches_float64_oracle_at_every_thread_count():
+    # 21 active detectors (one full detector chunk and a partial one) over
+    # 2184 voxels (one full voxel block and a partial one); a 700-sample
+    # record leaves about 31% of the flights outside the window.
+    sensors = apply_sampling_pattern(build_hemisphere_grid(3, 10, 0.05),
+                                     SamplingPattern.parse("limaz:250"))
+    grid = GridSpec((14, 13, 12), 1e-3)
+    assert sensors.active_indices.size % _chunks.DETECTOR_CHUNK != 0
+    assert _chunks.VOXEL_BLOCK < grid.n_voxels < 2 * _chunks.VOXEL_BLOCK
+    traces = np.random.default_rng(4).standard_normal((sensors.active_indices.size, 700))
+    expect = ubp_oracle(traces, sensors, grid, 1500.0, 20e6)
+    got = [ubp_reconstruct(traces, sensors, grid, UbpConfig(), fs=20e6, threads=t).data
+           for t in (1, 2, 3)]
+    assert np.linalg.norm(got[0].ravel() - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
 
 def test_threads_do_not_change_output():
