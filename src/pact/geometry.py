@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryMismatchError, header_field
+from .errors import GeometryMismatchError, header_field, positive
 
 # Relative tolerance of a sensor file's theta, phi and weight against the grid's values.
 _GRID_RTOL = 1e-9
@@ -41,8 +41,7 @@ class SensorArray:
     def __post_init__(self):
         if self.n_theta < 1 or self.n_phi < 1:
             raise ValueError("grid dimensions must be >= 1")
-        if not self.radius_m > 0:
-            raise ValueError("radius must be positive")
+        positive(self.radius_m, "radius")
         object.__setattr__(self, "active", np.asarray(self.active, dtype=bool))
         if self.active.shape != (self.n_elements,):
             raise ValueError(f"active mask must hold {self.n_elements} flags")

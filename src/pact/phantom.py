@@ -6,12 +6,14 @@ axis-aligned box.  Segments are rasterized as capsules and smoothed with a
 truncated Gaussian before scaling to the target peak pressure.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .errors import positive
 from .volume import Volume
 
 
@@ -101,10 +103,9 @@ def make_initial_pressure(tree, grid, p0_scale=1.0, sigma_vox=1.0):
     3 sigma, unit-sum kernel) and rescaled so the maximum equals
     ``p0_scale``.  The data stay float64; files hold them as float32.
     """
-    if sigma_vox < 0:
-        raise ValueError("smoothing width must be >= 0")
-    if p0_scale <= 0:
-        raise ValueError("p0_scale must be positive")
+    if not (math.isfinite(sigma_vox) and sigma_vox >= 0):
+        raise ValueError(f"smoothing width must be finite and >= 0, got {sigma_vox!r}")
+    positive(p0_scale, "p0_scale")
     data = rasterize_tree(tree, grid)
     if sigma_vox > 0:
         data = gaussian_filter(data, sigma=sigma_vox, mode="constant", truncate=3.0)

@@ -462,11 +462,17 @@ def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
     ("iter", "--c0", "nan"), ("iter", "--pitch", "nan"), ("iter", "--pitch", "inf"),
     ("iter", "--lambda", "nan"), ("iter", "--iters", "-1"),
     ("pipeline", "--fs", "0"), ("pipeline", "--c0", "inf"),
+    ("phantom", "--p0", "nan"), ("phantom", "--sigma", "nan"), ("phantom", "--sigma", "inf"),
+    ("geom", "--radius", "inf"),
 ])
 def test_bad_physical_parameter_exits_one(tmp_path, capsys, command, flag, value):
     vol, geom, psi = _tiny_spectra(tmp_path)
     out = tmp_path / "out"
-    if command == "forward":
+    if command == "phantom":
+        args = ["phantom", "--seed", "1", "--leaves", "2", "--grid", "8x8x8", "--out", str(out)]
+    elif command == "geom":
+        args = ["geom", "--ntheta", "2", "--nphi", "4", "--out", str(out)]
+    elif command == "forward":
         args = ["forward", "--vol", str(vol), "--geom", str(geom), "--nf", "8",
                 "--center", "6e5", "--out", str(out)]
     elif command == "pipeline":

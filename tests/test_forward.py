@@ -525,6 +525,68 @@ def test_projector_spans_voxel_blocks(medium, chain16):
         <= 1e-12 * np.linalg.norm(got) * np.linalg.norm(psi.values)
 
 
+# The exact pair's tile kernel where its structure can break: the split of
+# K bins into ceil(sqrt(K)) baby steps, partial voxel tiles, masked bins and
+# the tabled phase.
+
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 5, 16, 17, 24, 149])
+def test_exact_pair_matches_greens_matrix_at_every_bin_split(grid8, array10, medium, n_bins):
+    chain = ReceiveChain(fs=20e6, n_t=2000, n_freq=n_bins)
+    rng = np.random.default_rng(n_bins)
+    mat = greens_matrix(grid8, array10, medium, chain)
+    x = Volume(rng.random(grid8.shape), grid8.pitch_m)
+    expect = (mat @ x.data.ravel()).reshape(10, n_bins)
+    got = forward_operator(x, array10, medium, chain).values
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    y = _random_spectra(rng, array10, chain)
+    expect = np.real(mat.conj().T @ y.values.ravel())
+    got = adjoint_operator(y, array10, medium, chain, grid8).data.ravel()
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_exact_pair_partial_last_tile(medium, chain16, sparse):
+    grid = GridSpec((9, 9, 9), 1e-3)
+    assert grid.n_voxels > _chunks.GREENS_BLOCK and grid.n_voxels % _chunks.GREENS_BLOCK
+    sensors = build_hemisphere_grid(3, 7, 0.1)  # 21 detectors: a partial detector chunk
+    rng = np.random.default_rng(8)
+    data = rng.random(grid.shape)
+    if sparse:
+        data[rng.random(grid.shape) < 0.2] = 0.0
+    x = Volume(data, grid.pitch_m)
+    mat = greens_matrix(grid, sensors, medium, chain16)
+    expect = (mat @ data.ravel()).reshape(-1, chain16.n_freq)
+    got = forward_operator(x, sensors, medium, chain16).values
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    y = _random_spectra(rng, sensors, chain16)
+    expect = np.real(mat.conj().T @ y.values.ravel())
+    got = adjoint_operator(y, sensors, medium, chain16, grid).data.ravel()
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("modes", [[0], [15], [9, 13, 15], [2, 14]])
+def test_physics_residual_masked_bins(grid8, array10, medium, chain16, modes):
+    rng = np.random.default_rng(len(modes))
+    x = Volume(rng.random(grid8.shape), grid8.pitch_m)
+    truth = Volume(rng.random(grid8.shape), grid8.pitch_m)
+    psi = forward_operator(truth, array10, medium, chain16)
+    mask = PhysicsMask(np.array(modes), np.array([0, 3, 4, 9]))
+    full = forward_operator(x, array10, medium, chain16).values - psi.values
+    expect = float(np.sum(np.abs(full[np.ix_(mask.sensor_indices, mask.mode_indices)]) ** 2))
+    got = physics_residual(x, psi, mask, array10, medium, chain16)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_unit_phase_matches_complex_exp():
+    n = forward._PHASE_NODES
+    cell = 2.0 * np.pi / n
+    nodes = np.arange(2 * n + 1) * cell  # [0, 4 pi]
+    edges = (np.arange(2 * n) + 0.5) * cell  # half-cell boundaries
+    theta = np.concatenate([nodes, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 13.0),
+                            np.linspace(0.0, 4.0 * np.pi, 100_001)])
+    assert np.abs(forward._unit_phase(theta) - np.exp(1j * theta)).max() <= 1e-14
+
+
 # The exact pair and the kernels around it, on the same random problems.
 
 @settings(max_examples=40, deadline=None)
