@@ -14,9 +14,10 @@ with z^k = z^(q m) z^r, m = ceil(sqrt(K)), one batched complex matrix product
 gives all K bins of the tile (the adjoint adds Horner's rule in z^m).
 :func:`projector_forward` and :func:`projector_adjoint` are the
 iterative solver's faster pair: the same sum through a 1-D NUFFT in the
-flight phase, within about 1e-4 of the exact pair.  Sums over voxels run
-in a fixed order (restricted to the nonzero support of P in the forward
-maps), so results are bitwise reproducible for any thread count.
+flight phase, within about 1e-4 of the exact pair; its adjoint back-projects
+phase-grid rows with UBP's gather, :func:`pact._chunks.back_project`.  Sums
+run in a fixed order (over the nonzero support of P in the forward maps), so
+results are bitwise reproducible for any thread count.
 """
 
 import math
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._chunks import DETECTOR_CHUNK, GREENS_BLOCK, VOXEL_BLOCK, map_chunks, tile_distances
+from ._chunks import (DETECTOR_CHUNK, GREENS_BLOCK, VOXEL_BLOCK, back_project, chunk_ranges,
+                      flight_cells, longest_flight, map_chunks, map_runs, tile_distances)
 from .errors import GeometryMismatchError, header_field, positive
 from .volume import Volume
 
@@ -99,14 +101,10 @@ def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
     equation, so simulated traces have the N-wave polarity UBP expects.
     """
     positive(fs, "sampling rate")
-    lo, hi = grid.bounding_box()
-    corners = np.array([[x, y, z] for x in (lo[0], hi[0])
-                        for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
     act = sensors.positions[sensors.active]
     if act.shape[0] == 0:
         raise ValueError("sensor array has no active elements")
-    d = np.linalg.norm(act[:, None, :] - corners[None, :, :], axis=2)
-    t_max = float(d.max()) / medium.c0 + _PULSE_SUPPORT_S
+    t_max = longest_flight(act, grid.corners()) / medium.c0 + _PULSE_SUPPORT_S
     n_t = int(math.ceil(t_max * fs))
     n_t += n_t % 2  # keep the record even
     n_freq = min(n_freq, n_t // 2)
@@ -234,9 +232,7 @@ def forward_operator(p, sensors, medium, chain, threads=1):
     """
     ids, pos = _active_geometry(sensors)
     _check_detectors_outside(pos, p.grid)
-    vals, coords = _support(p)
-    rows = _green_rows(pos, vals, coords, chain.omega[0] / medium.c0, chain.n_freq,
-                       p.pitch_m**3)
+    rows = _green_rows(pos, p, chain.omega[0] / medium.c0, chain.n_freq)
     values = np.concatenate(map_chunks(rows, ids.size, DETECTOR_CHUNK, threads))
     values *= chain.response[None, :]
     return Spectra(values, chain.freq_hz, ids)
@@ -276,46 +272,48 @@ def _bin_split(n_bins):
     return m, -(-n_bins // m)
 
 
-def _green_tiles(pos, coords, k1, m):
-    """Phase tiles of the exact sum: ``tiles(a, b)`` yields ``(lo, R, Z)``.
+def _green_tiles(pos, coords, corners, k1, m):
+    """Phase tiles of the exact sum: ``tile(a, b, lo, hi, buf) -> (R, Z)``.
 
-    Per tile of the detectors ``pos[a:b]`` and the voxels
-    ``coords[lo:lo + GREENS_BLOCK]``, R [d, v] is their distance and
+    For the detectors ``pos[a:b]`` and the voxels ``coords[lo:hi]`` (which
+    lie in the box of ``corners``), R [d, v] is their distance and
     Z [r, d, v] = z^(r+1), r < m, are the baby steps of z = exp(i k1 R):
-    bin k = q m + r + 1 is z^(q m) Z[r].  Every tile of a call reuses one
-    buffer, which keeps the allocator from returning it between tiles.
+    bin k = q m + r + 1 is z^(q m) Z[r].  Z lives in the caller's ``buf``,
+    reused for every tile so the allocator does not return it between tiles.
     """
+    longest_flight(pos, corners, float(k1) * _PHASE_NODES / (2.0 * np.pi))
     distances = tile_distances(pos, coords)
 
-    def tiles(a, b):
-        buf = np.empty(m * (b - a) * GREENS_BLOCK, dtype=np.complex128)
-        for lo in range(0, coords.shape[0], GREENS_BLOCK):
-            R = distances(a, b, lo, lo + GREENS_BLOCK)
-            Z = buf[:m * R.size].reshape((m,) + R.shape)
-            _unit_phase(R * k1, out=Z[0])
-            for r in range(1, m):
-                np.multiply(Z[r - 1], Z[0], out=Z[r])
-            yield lo, R, Z
+    def tile(a, b, lo, hi, buf):
+        R = distances(a, b, lo, hi)
+        Z = buf[:m * R.size].reshape((m,) + R.shape)
+        _unit_phase(R * k1, out=Z[0])
+        for r in range(1, m):
+            np.multiply(Z[r - 1], Z[0], out=Z[r])
+        return R, Z
 
-    return tiles
+    return tile
 
 
-def _green_rows(pos, vals, coords, k1, n_bins, dV):
+def _green_rows(pos, p, k1, n_bins):
     """Exact sums of detector chunks: ``rows(a, b) -> [b - a, n_bins]``.
 
-    Row d, bin k (1-based) is sum_v vals[v] dV / (4 pi R) z^k.  Per tile the
-    giant steps W [q, d, v] = vals dV / (4 pi R) z^(q m) meet the baby steps
-    in one batched matrix product (Paterson & Stockmeyer, SIAM J. Comput. 2,
-    1973); tiles are summed in order.
+    Row d, bin k (1-based) is sum_v P(r_v) dV / (4 pi R) z^k over the support
+    of ``p``.  Per tile the giant steps W [q, d, v] = P dV / (4 pi R) z^(q m)
+    meet the baby steps in one batched matrix product (Paterson & Stockmeyer,
+    SIAM J. Comput. 2, 1973); tiles are summed in order.
     """
+    vals, coords = _support(p)
     m, n_giant = _bin_split(n_bins)
-    tiles = _green_tiles(pos, coords, k1, m)
-    scale = dV / (4.0 * np.pi)
+    tile = _green_tiles(pos, coords, p.grid.corners(), k1, m)
+    scale = p.pitch_m**3 / (4.0 * np.pi)
 
     def rows(a, b):
         out = np.zeros((b - a, n_giant, m), dtype=np.complex128)
+        zbuf = np.empty(m * (b - a) * GREENS_BLOCK, dtype=np.complex128)
         buf = np.empty(n_giant * (b - a) * GREENS_BLOCK, dtype=np.complex128)
-        for lo, R, Z in tiles(a, b):
+        for lo in range(0, vals.size, GREENS_BLOCK):
+            R, Z = tile(a, b, lo, lo + GREENS_BLOCK, zbuf)
             W = buf[:n_giant * R.size].reshape((n_giant,) + R.shape)
             W[0] = vals[lo:lo + GREENS_BLOCK] * scale / R
             for q in range(1, n_giant):
@@ -339,33 +337,35 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
     _check_spectra(psi, ids, chain)
     n_bins = chain.n_freq
     m, n_giant = _bin_split(n_bins)
-    tiles = _green_tiles(pos, grid.voxel_coords(), chain.omega[0] / medium.c0, m)
+    tile = _green_tiles(pos, grid.voxel_coords(), grid.corners(),
+                        chain.omega[0] / medium.c0, m)
     scale = grid.pitch_m**3 / (4.0 * np.pi)
     # Re(conj(H_k z^k) psi_k) = Re(z^k c_k) with c_k = H_k conj(psi_k).
     coeff = np.zeros((ids.size, n_giant * m), dtype=np.complex128)
     coeff[:, :n_bins] = np.conj(psi.values) * chain.response[None, :]
     coeff = coeff.reshape(ids.size, n_giant, m)
 
-    def partial(a, b):
-        out = np.empty(grid.n_voxels)
-        buf = np.empty(n_giant * (b - a) * GREENS_BLOCK, dtype=np.complex128)
-        for lo, R, Z in tiles(a, b):
-            # S [q, d, v]: the baby-step sums of each giant step.
-            S = buf[:n_giant * R.size].reshape((n_giant,) + R.shape)
-            np.matmul(coeff[a:b], Z.transpose(1, 0, 2), out=S.transpose(1, 0, 2))
-            # Horner's rule in z^m over the giant steps.
-            h = S[n_giant - 1]
-            for q in range(n_giant - 2, -1, -1):
-                h *= Z[m - 1]
-                h += S[q]
-            out[lo:lo + GREENS_BLOCK] = np.einsum("dv,dv->v", h.real,
-                                                  np.divide(scale, R, out=R))
-        return out
+    def run(start, stop):
+        acc = np.zeros(stop - start)
+        zbuf = np.empty(m * DETECTOR_CHUNK * GREENS_BLOCK, dtype=np.complex128)
+        buf = np.empty(n_giant * DETECTOR_CHUNK * GREENS_BLOCK, dtype=np.complex128)
+        for a, b in chunk_ranges(ids.size, DETECTOR_CHUNK):
+            for lo in range(start, stop, GREENS_BLOCK):
+                hi = min(lo + GREENS_BLOCK, stop)
+                R, Z = tile(a, b, lo, hi, zbuf)
+                # S [q, d, v]: the baby-step sums of each giant step.
+                S = buf[:n_giant * R.size].reshape((n_giant,) + R.shape)
+                np.matmul(coeff[a:b], Z.transpose(1, 0, 2), out=S.transpose(1, 0, 2))
+                # Horner's rule in z^m over the giant steps.
+                h = S[n_giant - 1]
+                for q in range(n_giant - 2, -1, -1):
+                    h *= Z[m - 1]
+                    h += S[q]
+                acc[lo - start:hi - start] += np.einsum(
+                    "dv,dv->v", h.real, np.divide(scale, R, out=R))
+        return acc
 
-    parts = map_chunks(partial, ids.size, DETECTOR_CHUNK, threads)
-    acc = parts[0]
-    for part in parts[1:]:
-        acc += part
+    acc = np.concatenate(map_runs(run, grid.n_voxels, GREENS_BLOCK, threads))
     return Volume(acc.reshape(grid.shape), grid.pitch_m, grid.origin_m)
 
 
@@ -374,34 +374,11 @@ def adjoint_operator(psi, sensors, medium, chain, grid, threads=1):
 _OVERSAMPLE = 64
 
 
-def _phase_cells(chain):
-    """Cell count n of the projector's grid and the bins' 1/sinc^2 correction."""
+def _phase_cells(chain, c0):
+    """The projector's cell count n, its cells per metre of flight and 1/sinc^2 per bin."""
     n = 2 * _OVERSAMPLE * chain.n_freq
-    return n, 1.0 / np.sinc(np.arange(1, chain.n_freq + 1) / n) ** 2
-
-
-def _flight_cells(pos, coords, omega1, c0, n):
-    """Flight geometry of detector chunks: ``cells(a, b, lo, hi) -> (R, idx, frac)``.
-
-    For every pair of a detector in ``pos[a:b]`` and a voxel in
-    ``coords[lo:hi]``, R [d, v] is their distance; idx is the cell floor(u)
-    mod n of the flight phase u = (omega1 * R / c0) * n / (2 pi), offset by
-    row * (n + 1); frac is u - floor(u).  A flight longer than the record
-    wraps, as exp(i k omega1 R / c0) is n-periodic in u.
-    """
-    distances = tile_distances(pos, coords)
-
-    def cells(a, b, lo, hi):
-        R = distances(a, b, lo, hi)
-        frac = R * (omega1 * n / (2.0 * np.pi * c0))
-        idx = frac.astype(np.int64)  # floor, as u >= 0
-        frac -= idx
-        if idx.max() >= n:
-            idx %= n
-        idx += (n + 1) * np.arange(b - a)[:, None]
-        return R, idx, frac
-
-    return cells
+    rate = float(chain.omega[0]) * n / (2.0 * np.pi * c0)
+    return n, rate, 1.0 / np.sinc(np.arange(1, chain.n_freq + 1) / n) ** 2
 
 
 def projector_forward(p, sensors, medium, chain, threads=1):
@@ -417,16 +394,17 @@ def projector_forward(p, sensors, medium, chain, threads=1):
     ids, pos = _active_geometry(sensors)
     _check_detectors_outside(pos, p.grid)
     vals, coords = _support(p)
-    n, corr = _phase_cells(chain)
+    n, rate, corr = _phase_cells(chain, medium.c0)
     n_freq = chain.n_freq
     scale = p.pitch_m**3 / (4.0 * np.pi)
-    cells = _flight_cells(pos, coords, chain.omega[0], medium.c0, n)
+    cells = flight_cells(pos, coords, p.grid.corners(), rate, period=n)
 
     def rows(a, b):
         size = (b - a) * (n + 1)
         f = np.zeros(size)
         for lo in range(0, vals.size, VOXEL_BLOCK):
             R, idx, frac = cells(a, b, lo, lo + VOXEL_BLOCK)
+            idx += (n + 1) * np.arange(b - a)[:, None]
             g = vals[lo:lo + VOXEL_BLOCK] * scale / R
             upper = g * frac
             g -= upper
@@ -450,40 +428,28 @@ def projector_adjoint(psi, sensors, medium, chain, grid, threads=1):
     """Exact adjoint of :func:`projector_forward` under Re(u^H v).
 
     Per detector: 1/sinc^2 and the conjugate response, one FFT back to the
-    phase grid, a linear gather at each voxel's cell, then dV / (4 pi R).
-    The dot-product test against the forward holds to ~1e-15 of ||Ax||*||y||.
+    n-periodic phase grid, then :func:`pact._chunks.back_project` of its
+    rows with weight dV / (4 pi R).  The dot-product test against the
+    forward holds to ~1e-15 of ||Ax||*||y||.
     """
     ids, pos = _active_geometry(sensors)
     _check_detectors_outside(pos, grid)
     _check_spectra(psi, ids, chain)
-    n, corr = _phase_cells(chain)
-    cells = _flight_cells(pos, grid.voxel_coords(), chain.omega[0], medium.c0, n)
-    scale = grid.pitch_m**3 / (4.0 * np.pi)
+    n, rate, corr = _phase_cells(chain, medium.c0)
     coeff = psi.values * (np.conj(chain.response) * corr)[None, :]
+    rows = np.empty((ids.size, n + 1))
 
-    def partial(a, b):
+    def phase_rows(a, b):
         spec = np.zeros((b - a, n // 2 + 1), dtype=np.complex128)
         spec[:, 1:chain.n_freq + 1] = np.conj(coeff[a:b])
         # Re sum_k c_k exp(-2 pi i k j / n) on cells 0..n, cell n repeating 0.
-        h = np.fft.irfft(spec, n=n, axis=1) * (n / 2.0)
-        h = np.concatenate([h, h[:, :1]], axis=1).ravel()
-        out = np.empty(grid.n_voxels)
-        for lo in range(0, grid.n_voxels, VOXEL_BLOCK):
-            R, idx, frac = cells(a, b, lo, lo + VOXEL_BLOCK)
-            lower = h[idx]
-            gathered = h[1:][idx]
-            gathered -= lower
-            gathered *= frac
-            gathered += lower
-            out[lo:lo + VOXEL_BLOCK] = np.einsum("dv,dv->v", gathered,
-                                                 np.divide(scale, R, out=R))
-        return out
+        rows[a:b, :n] = np.fft.irfft(spec, n=n, axis=1) * (n / 2.0)
+        rows[a:b, n] = rows[a:b, 0]
 
-    parts = map_chunks(partial, ids.size, DETECTOR_CHUNK, threads)
-    acc = parts[0]
-    for part in parts[1:]:
-        acc += part
-    return Volume(acc.reshape(grid.shape), grid.pitch_m, grid.origin_m)
+    map_chunks(phase_rows, ids.size, DETECTOR_CHUNK, threads)
+    scale = grid.pitch_m**3 / (4.0 * np.pi)
+    sums, _ = back_project(rows, pos, grid, rate, np.full(ids.size, scale), threads, period=n)
+    return Volume(sums.reshape(grid.shape), grid.pitch_m, grid.origin_m)
 
 
 def to_time_domain(psi, chain):
@@ -553,14 +519,12 @@ def physics_residual(p_hat, psi, mask, sensors, medium, chain, threads=1):
     _check_spectra(psi, ids, chain)
     if np.any(mask.sensor_indices >= ids.size) or np.any(mask.mode_indices >= chain.n_freq):
         raise ValueError("mask indices out of range")
-    vals, coords = _support(p_hat)
     modes = mask.mode_indices
     h = chain.response[modes]
     sub_pos = pos[mask.sensor_indices]
     ref = psi.values[np.ix_(mask.sensor_indices, modes)]
     # The forward kernel up to the highest masked bin; the masked columns are kept.
-    green = _green_rows(sub_pos, vals, coords, chain.omega[0] / medium.c0,
-                        int(modes.max()) + 1, p_hat.pitch_m**3)
+    green = _green_rows(sub_pos, p_hat, chain.omega[0] / medium.c0, int(modes.max()) + 1)
 
     def rows(a, b):
         pred = green(a, b)[:, modes]

@@ -284,10 +284,6 @@ class DiscoLayer:
         self.n_out, self.n_in = self.matrices[0].shape
 
     @property
-    def c_out(self):
-        return self.theta.shape[0]
-
-    @property
     def c_in(self):
         return self.theta.shape[1]
 

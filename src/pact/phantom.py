@@ -160,11 +160,11 @@ def _rasterize_capsule(data, axes, pitch, a, b, radius):
     region[dist <= radius] = 1.0
 
 
-def default_tree_bbox(grid, coverage=0.8):
-    """Central ``coverage`` fraction of the grid extent, as (lo, hi)."""
+def default_tree_bbox(grid):
+    """Central 80% of the grid extent, as (lo, hi)."""
     lo, hi = grid.bounding_box()
     center = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0 * coverage
+    half = (hi - lo) / 2.0 * 0.8
     return (center - half, center + half)
 
 

@@ -4,17 +4,16 @@ For each voxel r, the reconstruction accumulates the filtered trace
 b(t) = d/dt [t * p(t)] of every active detector at the time of flight
 t* = |r - s| / c0 (linear interpolation), weighted by the detector cell
 area and 1/R spherical spreading, then divides by the summed active weights
-(Xu & Wang, PRE 71, 016706, 2005).  The sums run in float64 on the
-detector x voxel tiles of :mod:`pact._chunks`: each voxel block visits the
-detector chunks in a fixed order, so output is bitwise reproducible for any
-thread count.
+(Xu & Wang, PRE 71, 016706, 2005), through :func:`pact._chunks.back_project`:
+each voxel block sums the detector chunks in a fixed order in float64, so
+output is bitwise reproducible for any thread count.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._chunks import DETECTOR_CHUNK, VOXEL_BLOCK, chunk_ranges, map_chunks, tile_distances
+from ._chunks import back_project
 from .errors import WindowTooShortError, positive
 from .geometry import quadrature_weights
 from .volume import Volume
@@ -65,44 +64,10 @@ def ubp_reconstruct(traces, sensors, grid, cfg, fs, threads=1):
         raise ValueError(
             f"trace rows ({traces.shape[0]}) do not match active detectors ({ids.size})"
         )
-    n_t = traces.shape[1]
-    flat = traces.ravel()
-    pos = sensors.positions[ids]
-    lo, hi = grid.bounding_box()
-    corners = np.array([[cx, cy, cz] for cx in (lo[0], hi[0])
-                        for cy in (lo[1], hi[1]) for cz in (lo[2], hi[2])])
-    if np.linalg.norm(corners, axis=1).max() >= sensors.radius_m:
+    if np.linalg.norm(grid.corners(), axis=1).max() >= sensors.radius_m:
         raise ValueError("reconstruction grid extends outside the detector bowl")
     q = quadrature_weights(sensors)[ids]
-    distances = tile_distances(pos, grid.voxel_coords())
-    samples_per_m = fs / cfg.c0
-    detector_chunks = chunk_ranges(ids.size, DETECTOR_CHUNK)
-
-    def block(start, stop):
-        acc = np.zeros(stop - start)
-        missed = 0
-        for a, b in detector_chunks:
-            R = distances(a, b, start, stop)
-            frac = R * samples_per_m
-            idx = frac.astype(np.int64)  # floor, as R >= 0
-            frac -= idx
-            invalid = idx > n_t - 2
-            missed += int(np.count_nonzero(invalid))
-            np.minimum(idx, n_t - 2, out=idx)
-            # Linear gather from the chunk's rows of the flattened traces.
-            idx += n_t * np.arange(a, b)[:, None]
-            lower = flat[idx]
-            val = flat[idx + 1]
-            val -= lower
-            val *= frac
-            val += lower
-            val[invalid] = 0.0
-            acc += np.einsum("dv,dv->v", val, np.divide(q[a:b, None], R, out=R))
-        return acc, missed
-
-    results = map_chunks(block, grid.n_voxels, VOXEL_BLOCK, threads)
-    out = np.concatenate([r[0] for r in results])
-    n_missed = sum(r[1] for r in results)
+    out, n_missed = back_project(traces, sensors.positions[ids], grid, fs / cfg.c0, q, threads)
     if n_missed > 0.5 * grid.n_voxels * ids.size:
         raise WindowTooShortError(
             f"{n_missed} of {grid.n_voxels * ids.size} voxel-detector flight times "

@@ -56,6 +56,12 @@ class GridSpec:
         hi = lo + self.pitch_m * (np.asarray(self.shape) - 1)
         return lo, hi
 
+    def corners(self):
+        """The 8 corners of the voxel-center bounding box, shape (8, 3)."""
+        lo, hi = self.bounding_box()
+        return np.array([[x, y, z] for x in (lo[0], hi[0])
+                         for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+
     def zeros(self):
         return Volume(np.zeros(self.shape), self.pitch_m, self.origin_m)
 

@@ -458,8 +458,9 @@ def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
     ("forward", "--fs", "0"), ("forward", "--fs", "-1"), ("forward", "--fs", "inf"),
     ("forward", "--center", "0"), ("forward", "--center", "nan"), ("forward", "--center", "-1"),
     ("ubp", "--c0", "nan"), ("ubp", "--c0", "inf"), ("ubp", "--pitch", "nan"),
-    ("ubp", "--pitch", "inf"),
-    ("iter", "--c0", "nan"), ("iter", "--pitch", "nan"), ("iter", "--pitch", "inf"),
+    ("ubp", "--pitch", "inf"), ("ubp", "--c0", "1e-300"),
+    ("iter", "--c0", "nan"), ("iter", "--c0", "1e-300"), ("iter", "--pitch", "nan"),
+    ("iter", "--pitch", "inf"),
     ("iter", "--lambda", "nan"), ("iter", "--iters", "-1"),
     ("pipeline", "--fs", "0"), ("pipeline", "--c0", "inf"),
     ("phantom", "--p0", "nan"), ("phantom", "--sigma", "nan"), ("phantom", "--sigma", "inf"),

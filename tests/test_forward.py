@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from pact.recon_ubp import UbpConfig, ubp_reconstruct
 from pact.volume import GridSpec, Volume
 
 from conftest import dyadic_volume, greens_matrix
+from test_ubp import ubp_oracle
 
 
 def test_forward_matches_dense_oracle(grid8, array10, medium, chain16):
@@ -505,6 +507,30 @@ def test_projector_last_phase_cell_wraps_to_the_first(medium, chain16, frac):
     assert abs(got - expect).max() <= PROJECTOR_ERROR * abs(expect).max()
 
 
+def test_projector_rows_hold_one_period_at_a_slow_sound_speed(grid8, array10, medium,
+                                                              chain16, monkeypatch):
+    # At c0 / 100 every flight wraps the phase grid about 100 times more
+    # often than at c0; the adjoint's rows still hold one period and the
+    # cell that repeats the first, and the pair stays adjoint.
+    slow = AcousticMedium(c0=medium.c0 / 100)
+    widths = []
+
+    def back_project(rows, *args, **kwargs):
+        widths.append(rows.shape[1])
+        return _chunks.back_project(rows, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "back_project", back_project)
+    rng = np.random.default_rng(8)
+    x = Volume(rng.random(grid8.shape), grid8.pitch_m)
+    ax = projector_forward(x, array10, slow, chain16).values
+    y = _random_spectra(rng, array10, chain16)
+    aty = projector_adjoint(y, array10, slow, chain16, grid8).data
+    assert widths == [2 * forward._OVERSAMPLE * chain16.n_freq + 1]
+    lhs = float(np.sum(ax.real * y.values.real + ax.imag * y.values.imag))
+    assert abs(lhs - float(np.sum(x.data * aty))) \
+        <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y.values)
+
+
 def test_projector_spans_voxel_blocks(medium, chain16):
     # 9216 voxels: more than one voxel block, the last one partial.
     grid = GridSpec((24, 24, 16), 1e-3)
@@ -634,6 +660,42 @@ def test_exact_kernels_are_bitwise_identical_across_threads(problem):
              ubp_reconstruct(traces, sensors, grid, UbpConfig(), fs=20e6, threads=t).data)
             for t in (1, 2)]
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def test_back_projections_span_voxel_blocks_at_every_thread_count(medium, chain16):
+    # The property tests' grids fit in one block; here 9216 voxels make 4.5
+    # voxel blocks and 18 Green's blocks, run in parallel, and 21 detectors
+    # leave a partial detector chunk.
+    grid = GridSpec((24, 24, 16), 1e-3)
+    sensors = build_hemisphere_grid(3, 7, 0.1)
+    assert grid.n_voxels % _chunks.VOXEL_BLOCK and grid.n_voxels > 4 * _chunks.VOXEL_BLOCK
+    assert sensors.active_indices.size % _chunks.DETECTOR_CHUNK
+    rng = np.random.default_rng(9)
+    mat = greens_matrix(grid, sensors, medium, chain16)
+    psi = Spectra((mat @ rng.random(grid.n_voxels)).reshape(-1, chain16.n_freq),
+                  chain16.freq_hz, sensors.active_indices)
+    # A 2000-sample record at 20 MHz covers every flight to the 0.1 m array.
+    traces = rng.standard_normal((psi.n_det, 2000))
+    # Threads write their own rows of the projector's phase grid; switching
+    # them often would expose a write to another thread's part.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [(adjoint_operator(psi, sensors, medium, chain16, grid, threads=t).data.ravel(),
+                 projector_adjoint(psi, sensors, medium, chain16, grid, threads=t).data.ravel(),
+                 ubp_reconstruct(traces, sensors, grid, UbpConfig(), fs=20e6,
+                                 threads=t).data.ravel())
+                for t in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+    exact, projected, ubp = runs[0]
+    expect = np.real(mat.conj().T @ psi.values.ravel())
+    assert np.abs(exact - expect).max() <= 1e-12 * np.abs(expect).max()
+    assert np.linalg.norm(projected - expect) <= PROJECTOR_ERROR * np.linalg.norm(expect)
+    expect = ubp_oracle(traces, sensors, grid, medium.c0, 20e6)
+    assert np.linalg.norm(ubp - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 @settings(max_examples=40, deadline=None)
