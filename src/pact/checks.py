@@ -54,6 +54,9 @@ def ball_average_error(basis, n_theta, n_phi, radius_m=1.0):
     ones = np.ones((1, layer.n_in))
     out = disco_apply(layer, ones)[0]
     mask = interior_output_mask(sensors, quad_basis.r)
+    if not mask.any():
+        raise ValueError(f"no output ball of radius r={basis.r:g} lies inside the hemisphere "
+                         f"on the {n_theta}x{n_phi} grid")
     target = cap_area(quad_basis.r, radius_m)
     rel = np.abs(out[mask] - target) / target
     return float(rel.mean()), float(rel.max())
@@ -85,7 +88,6 @@ def run_disco_checks(basis_kind="zernike", L=4, r=0.1 * np.pi, sensors=None, see
     # Sparsity respects the geodesic ball.
     ids = sensors.active_indices
     units = sensors.positions[ids] / sensors.radius_m
-    worst = 0.0
     pattern = sum(abs(m) for m in mats).tocoo()
     dots = np.einsum("ij,ij->i", units[pattern.row], units[pattern.col])
     dist = np.arccos(np.clip(dots, -1, 1))

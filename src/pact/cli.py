@@ -60,7 +60,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except (ToolkitError, OSError, ValueError) as exc:
+    except (ToolkitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start

@@ -105,6 +105,8 @@ def default_receive_chain(sensors, grid, medium, fs=20e6, n_freq=149,
     if act.shape[0] == 0:
         raise ValueError("sensor array has no active elements")
     t_max = longest_flight(act, grid.corners()) / medium.c0 + _PULSE_SUPPORT_S
+    if not math.isfinite(t_max * fs):
+        raise ValueError(f"record length {t_max:g} s at {fs:g} Hz is not a finite sample count")
     n_t = int(math.ceil(t_max * fs))
     n_t += n_t % 2  # keep the record even
     n_freq = min(n_freq, n_t // 2)
@@ -416,10 +418,7 @@ def projector_forward(p, sensors, medium, chain, threads=1):
         # sum_j f_j exp(+2 pi i k j / n) of a real f is conj(rfft(f))[k].
         return np.conj(np.fft.rfft(f[:, :n], axis=1)[:, 1:n_freq + 1])
 
-    if vals.size == 0:
-        values = np.zeros((ids.size, n_freq), dtype=np.complex128)
-    else:
-        values = np.concatenate(map_chunks(rows, ids.size, DETECTOR_CHUNK, threads))
+    values = np.concatenate(map_chunks(rows, ids.size, DETECTOR_CHUNK, threads))
     values *= (chain.response * corr)[None, :]
     return Spectra(values, chain.freq_hz, ids)
 

@@ -145,31 +145,19 @@ def _eval_zernike(basis, rho, phi):
     return out
 
 
-def _unit_points_and_weights(pts):
-    """(unit vectors [n,3], weights [n]) from a SensorArray or raw points."""
+def _angles_and_weights(pts):
+    """(colatitudes [n], azimuths [n], weights [n] or None) of a SensorArray or unit points."""
     if isinstance(pts, SensorArray):
         ids = pts.active_indices
-        units = pts.positions[ids] / pts.radius_m
-        q = quadrature_weights(pts)[ids]
-        return units, q
+        return pts.angles[ids, 0], pts.angles[ids, 1], quadrature_weights(pts)[ids]
     units = np.asarray(pts, dtype=np.float64)
     if units.ndim != 2 or units.shape[1] != 3:
         raise ValueError("points must be an (n, 3) array or a SensorArray")
     norms = np.linalg.norm(units, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("points must be unit vectors")
-    return units / norms[:, None], None
-
-
-def _tangent_frame(v):
-    """East and north unit vectors of the tangent plane at unit point(s) v."""
-    z = np.array([0.0, 0.0, 1.0])
-    east = np.cross(np.broadcast_to(z, v.shape), v)
-    norm = np.linalg.norm(east, axis=-1, keepdims=True)
-    # At the poles any azimuth reference works.
-    east = np.where(norm > 1e-12, east / np.maximum(norm, 1e-300), [1.0, 0.0, 0.0])
-    north = np.cross(v, east)
-    return east, north
+    x, y, z = (units / norms[:, None]).T
+    return np.arccos(z), np.arctan2(y, x), None
 
 
 def build_disco_matrices(in_pts, out_pts, basis):
@@ -178,87 +166,57 @@ def build_disco_matrices(in_pts, out_pts, basis):
     K^l[i, j] = b_l(rho_ij, phi_ij) * q_j, present only when the geodesic
     distance from output point v_i to input point u_j is at most the basis
     radius.  (rho, phi) are log-map polar coordinates of u_j about v_i with
-    local east as phi = 0.
+    local east as phi = 0, found by spherical trigonometry from the
+    colatitudes and the azimuth difference of the two points.
 
-    When both point sets are sensor arrays sharing the azimuth lattice, the
-    local coordinates are computed from integer column differences, which
-    makes the matrices exactly invariant under grid-step rotations (this
-    matters for bases with discontinuities such as Haar, whose sign
-    boundaries run along lattice directions).
+    When both point sets are sensor arrays with the same azimuth count, sin
+    and cos of the azimuth difference come from one table indexed by the
+    integer column difference, which makes the matrices exactly invariant
+    under grid-step rotations (this matters for bases with discontinuities
+    such as Haar, whose sign boundaries run along lattice directions).  Any
+    other pair takes them from the float difference.
     """
-    units_in, q = _unit_points_and_weights(in_pts)
-    units_out, _ = _unit_points_and_weights(out_pts)
+    th_in, ph_in, q = _angles_and_weights(in_pts)
+    th_out, ph_out, _ = _angles_and_weights(out_pts)
     if q is None:
         raise ValueError("input points must be a SensorArray carrying quadrature weights")
-    n_in = units_in.shape[0]
-    n_out = units_out.shape[0]
-
-    lattice = (isinstance(in_pts, SensorArray) and isinstance(out_pts, SensorArray)
-               and in_pts.n_phi == out_pts.n_phi)
-    if lattice:
-        n_phi = in_pts.n_phi
-        in_ids = in_pts.active_indices
-        out_ids = out_pts.active_indices
-        th_in = in_pts.angles[in_ids, 0]
-        th_out = out_pts.angles[out_ids, 0]
-        col_in = in_ids % n_phi
-        col_out = out_ids % n_phi
-        dphi_table = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-        sin_dphi, cos_dphi = np.sin(dphi_table), np.cos(dphi_table)
-        sin_in, cos_in = np.sin(th_in), np.cos(th_in)
-        sin_out, cos_out = np.sin(th_out), np.cos(th_out)
+    n_in, n_out = th_in.size, th_out.size
+    if (isinstance(in_pts, SensorArray) and isinstance(out_pts, SensorArray)
+            and in_pts.n_phi == out_pts.n_phi):
+        period = in_pts.n_phi
+        az_in = in_pts.active_indices % period
+        az_out = out_pts.active_indices % period
+        steps = np.arange(period) * (2.0 * np.pi / period)
+        sin_of, cos_of = np.sin(steps).take, np.cos(steps).take
     else:
-        east, north = _tangent_frame(units_out)
+        period, az_in, az_out = 2.0 * np.pi, ph_in, ph_out
+        sin_of, cos_of = np.sin, np.cos
+    sin_in, cos_in = np.sin(th_in), np.cos(th_in)
+    sin_out, cos_out = np.sin(th_out), np.cos(th_out)
 
-    rows, cols, vals = [], [], []
-    empty = 0
+    cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros((basis.L, 0))]
     cos_r = np.cos(basis.r)
     for i in range(n_out):
-        if lattice:
-            dj = (col_in - col_out[i]) % n_phi
-            cos_rho = (cos_in * cos_out[i]
-                       + sin_in * sin_out[i] * cos_dphi[dj])
-            nbr = np.flatnonzero(cos_rho >= cos_r)
-            if nbr.size == 0:
-                empty += 1
-                continue
-            rho = np.arccos(np.clip(cos_rho[nbr], -1.0, 1.0))
-            # Tangent-frame components from angle differences only.
-            djn = dj[nbr]
-            e_comp = sin_in[nbr] * sin_dphi[djn]
-            n_comp = cos_in[nbr] * sin_out[i] - sin_in[nbr] * cos_out[i] * cos_dphi[djn]
-            phi = np.arctan2(n_comp, e_comp)
-        else:
-            dots = units_in @ units_out[i]
-            nbr = np.flatnonzero(dots >= cos_r)
-            if nbr.size == 0:
-                empty += 1
-                continue
-            u = units_in[nbr]
-            rho = np.arccos(np.clip(dots[nbr], -1.0, 1.0))
-            phi = np.arctan2(u @ north[i], u @ east[i])
-        b = eval_kernel_basis(basis, rho, phi)  # [n_nbr, L]
-        rows.append(np.full(nbr.size, i, dtype=np.int64))
+        dphi = (az_in - az_out[i]) % period
+        cos_rho = cos_in * cos_out[i] + sin_in * sin_out[i] * cos_of(dphi)
+        nbr = np.flatnonzero(cos_rho >= cos_r)
+        rho = np.arccos(np.clip(cos_rho[nbr], -1.0, 1.0))
+        dphi = dphi[nbr]
+        e_comp = sin_in[nbr] * sin_of(dphi)
+        n_comp = cos_in[nbr] * sin_out[i] - sin_in[nbr] * cos_out[i] * cos_of(dphi)
+        b = eval_kernel_basis(basis, rho, np.arctan2(n_comp, e_comp))  # [n_nbr, L]
         cols.append(nbr)
-        vals.append(b * q[nbr][:, None])
+        vals.append((b * q[nbr][:, None]).T)
+    indptr = np.cumsum([c.size for c in cols])  # the empty first entry gives indptr[0] = 0
+    empty = int(np.count_nonzero(np.diff(indptr) == 0))
     if empty > 0.1 * n_out:
         raise BasisSupportError(
             f"{empty} of {n_out} output points have no inputs within r={basis.r:g}; "
             "basis radius too small for the grid density"
         )
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros((0, basis.L))
-    mats = []
-    for ell in range(basis.L):
-        m = sparse.coo_matrix((vals[:, ell], (rows, cols)), shape=(n_out, n_in))
-        mats.append(m.tocsr())
-    return mats
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals, axis=1)  # row l holds the entries of K^l
+    return [sparse.csr_matrix((v, cols, indptr), shape=(n_out, n_in)) for v in vals]
 
 
 @dataclass

@@ -454,6 +454,33 @@ def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
         assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["ubp", "iter"])
+def test_unallocatable_record_exits_one(tmp_path, capsys, command):
+    # 2**50 samples per detector lies far past any address space, so the
+    # allocation is refused at once rather than attempted.
+    _, geom, psi = _tiny_spectra(tmp_path)
+    sidecar = tmp_path / "psi.c64.json"
+    doc = json.loads(sidecar.read_text())
+    doc["n_t"] = 2**50
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run([command, "--rf", str(psi), "--geom", str(geom), "--grid", "8x8x8",
+                "--pitch", "0.001", "--out", str(tmp_path / "out.f32")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "allocate" in err and "Traceback" not in err
+    assert not (tmp_path / "out.f32").exists()
+
+
+def test_disco_check_radius_without_interior_ball_exits_one(tmp_path, capsys, recwarn):
+    geom = tmp_path / "g.json"
+    assert run(["geom", "--ntheta", "16", "--nphi", "32", "--out", str(geom)]) == 0
+    capsys.readouterr()
+    assert run(["disco-check", "--geom", str(geom), "--r", "0.74"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "r=0.74" in err and "16x32" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("forward", "--fs", "0"), ("forward", "--fs", "-1"), ("forward", "--fs", "inf"),
     ("forward", "--center", "0"), ("forward", "--center", "nan"), ("forward", "--center", "-1"),
@@ -463,6 +490,7 @@ def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
     ("iter", "--pitch", "inf"),
     ("iter", "--lambda", "nan"), ("iter", "--iters", "-1"),
     ("pipeline", "--fs", "0"), ("pipeline", "--c0", "inf"),
+    ("forward", "--c0", "1e-310"), ("pipeline", "--c0", "1e-310"),
     ("phantom", "--p0", "nan"), ("phantom", "--sigma", "nan"), ("phantom", "--sigma", "inf"),
     ("geom", "--radius", "inf"),
 ])

@@ -49,8 +49,9 @@ def test_forward_matches_dense_oracle(grid8, array10, medium, chain16):
     assert err < 1e-12
 
 
-def test_zero_volume_gives_zero_spectra(grid8, array10, medium, chain16):
-    psi = forward_operator(grid8.zeros(), array10, medium, chain16)
+@pytest.mark.parametrize("operator", [forward_operator, projector_forward])
+def test_zero_volume_gives_zero_spectra(grid8, array10, medium, chain16, operator):
+    psi = operator(grid8.zeros(), array10, medium, chain16)
     assert psi.values.shape == (10, 16)
     assert not np.any(psi.values)
 

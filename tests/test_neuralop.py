@@ -10,7 +10,7 @@ from pact.checks import (
     run_disco_checks,
     run_fno_checks,
 )
-from pact.geometry import build_hemisphere_grid
+from pact.geometry import SamplingPattern, apply_sampling_pattern, build_hemisphere_grid
 from pact.neuralop import (
     DiscoLayer,
     FnoLayer,
@@ -152,6 +152,31 @@ def test_disco_refinement_convergence_on_smooth_field():
     d1 = np.abs(outs[1] - outs[0]).max()
     d2 = np.abs(outs[2] - outs[1]).max()
     assert d2 < d1
+
+
+@pytest.mark.parametrize("pattern", ["full", "uniform:2"])
+@pytest.mark.parametrize("kind", ["zernike", "piecewise_linear"])
+def test_disco_lattice_and_general_azimuths_agree(kind, pattern):
+    # Output points given as a SensorArray take sin/cos of the azimuth
+    # difference from the integer-column table, given as unit vectors from the
+    # float difference.  Where an output point sits on an input point, rho is
+    # arccos of a cosine a few roundings below 1 on either path (up to 3e-8
+    # rad, at any phi), and the n = 1 terms scale with rho / r; elsewhere the
+    # paths agree to round-off.
+    out = build_hemisphere_grid(32, 64, 1.0)
+    sensors = apply_sampling_pattern(out, SamplingPattern.parse(pattern))
+    basis = make_kernel_basis(kind, 4, R_DEFAULT)
+    lattice = build_disco_matrices(sensors, out, basis)
+    general = build_disco_matrices(sensors, out.positions, basis)
+    scale = max(np.abs(m.data).max() for m in lattice)
+    for a, b in zip(lattice, general):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        coincident = sensors.active_indices[a.indices] == rows
+        err = np.abs(a.data - b.data) / scale
+        assert err[~coincident].max() < 1e-12
+        assert err[coincident].max() < 2 * 3e-8 / basis.r
 
 
 def test_disco_empty_neighborhood_diagnosed():
