@@ -177,7 +177,7 @@ def _build_parser():
 
     p = sub.add_parser("disco-check", help="run the spherical DISCO invariant suite")
     p.add_argument("--seed", **_SEED)
-    p.add_argument("--geom", help="sensor array file (default: built-in 32x64 grid)")
+    p.add_argument("--geom", help="sensor array file (default: built-in 64x128 grid)")
     p.add_argument("--basis", choices=["piecewise_linear", "haar", "zernike"],
                    default="zernike")
     p.add_argument("--L", type=int, default=4)

@@ -1,5 +1,10 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from pact.errors import BasisSupportError
@@ -10,7 +15,13 @@ from pact.checks import (
     run_disco_checks,
     run_fno_checks,
 )
-from pact.geometry import SamplingPattern, apply_sampling_pattern, build_hemisphere_grid
+from pact.geometry import (
+    SamplingPattern,
+    SensorArray,
+    apply_sampling_pattern,
+    build_hemisphere_grid,
+    quadrature_weights,
+)
 from pact.neuralop import (
     DiscoLayer,
     FnoLayer,
@@ -177,6 +188,140 @@ def test_disco_lattice_and_general_azimuths_agree(kind, pattern):
         err = np.abs(a.data - b.data) / scale
         assert err[~coincident].max() < 1e-12
         assert err[coincident].max() < 2 * 3e-8 / basis.r
+
+
+def _dense_disco_reference(in_pts, out_pts, basis):
+    """(values of each K^l, indices, indptr) from every output row paired with
+    every input through the build's formulas, or the count of empty rows the
+    build must report when more than a tenth are empty."""
+    def angles(pts):
+        if isinstance(pts, SensorArray):
+            return pts.angles[pts.active_indices].T
+        x, y, z = (pts / np.linalg.norm(pts, axis=1)[:, None]).T
+        return np.arccos(z), np.arctan2(y, x)
+
+    (th_in, ph_in), (th_out, ph_out) = angles(in_pts), angles(out_pts)
+    q = quadrature_weights(in_pts)[in_pts.active_indices]
+    if isinstance(out_pts, SensorArray) and out_pts.n_phi == in_pts.n_phi:
+        n = in_pts.n_phi
+        col = (in_pts.active_indices[None, :] - out_pts.active_indices[:, None]) % n
+        steps = np.arange(n) * (2.0 * np.pi / n)
+        sin_d, cos_d = np.sin(steps)[col], np.cos(steps)[col]
+    else:
+        dphi = (ph_in[None, :] - ph_out[:, None]) % (2.0 * np.pi)
+        sin_d, cos_d = np.sin(dphi), np.cos(dphi)
+    ci, si = np.cos(th_in)[None, :], np.sin(th_in)[None, :]
+    co, so = np.cos(th_out)[:, None], np.sin(th_out)[:, None]
+    cos_rho = ci * co + si * so * cos_d
+    near = cos_rho >= np.cos(basis.r)
+    counts = np.count_nonzero(near, axis=1)
+    empty = int(np.count_nonzero(counts == 0))
+    if empty > 0.1 * th_out.size:
+        return empty
+    rho = np.arccos(np.clip(cos_rho, -1.0, 1.0))
+    phi = np.arctan2(ci * so - si * co * cos_d, si * sin_d)
+    rows, cols = np.nonzero(near)
+    vals = eval_kernel_basis(basis, rho, phi)[rows, cols] * q[cols][:, None]
+    return list(vals.T), cols, np.concatenate([[0], np.cumsum(counts)])
+
+
+def _sphere_points(thetas, phis):
+    return np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis),
+                     np.cos(thetas)], axis=1)
+
+
+@st.composite
+def disco_builds(draw):
+    """(input array, output points, basis).
+
+    Inputs are a sensor array of up to 12x24 under any sampling pattern.
+    Outputs are another sampled array with the same azimuth count (the
+    integer-column path) or another (the float path), random unit vectors,
+    or the inputs moved by a few 1e-9 rad.  r is either drawn freely, or
+    the colatitude gap of a drawn output/input pair nudged by a few ulps, so
+    that pair sits on the edge of the colatitude band a block of rows
+    searches, or below 1e-8 rad for the moved inputs.
+    """
+    def sampled(n_theta, n_phi):
+        pattern = SamplingPattern(draw(st.sampled_from(["full", "uniform", "limaz", "limel"])),
+                                  rate=draw(st.integers(1, n_phi)),
+                                  arc_deg=draw(st.floats(1.0, 360.0)),
+                                  fraction=draw(st.floats(0.01, 1.0)))
+        return apply_sampling_pattern(build_hemisphere_grid(n_theta, n_phi, 1.0), pattern)
+
+    n_theta, n_phi = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    sensors = sampled(n_theta, n_phi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["same azimuths", "other grid", "unit vectors", "moved inputs"]))
+    if kind == "same azimuths":
+        out = sampled(draw(st.integers(1, 12)), n_phi)
+    elif kind == "other grid":
+        out = sampled(draw(st.integers(1, 12)), draw(st.integers(1, 24)))
+    elif kind == "unit vectors":
+        size = draw(st.integers(1, 80))
+        out = _sphere_points(rng.uniform(0.0, np.pi / 2, size), rng.uniform(-np.pi, np.pi, size))
+    else:
+        th, ph = sensors.angles[sensors.active_indices].T
+        out = _sphere_points(th + rng.uniform(1e-9, 5e-8, th.size), ph)
+    th_out = (out.angles[out.active_indices, 0] if isinstance(out, SensorArray)
+              else np.arccos(np.clip(out[:, 2], -1.0, 1.0)))
+    if kind == "moved inputs":
+        r = draw(st.floats(1e-11, 1e-8))
+    elif draw(st.booleans()):
+        r = draw(st.floats(0.2, np.pi / 2))
+    else:
+        th_in = sensors.angles[sensors.active_indices, 0]
+        r = abs(th_out[draw(st.integers(0, th_out.size - 1))]
+                - th_in[draw(st.integers(0, th_in.size - 1))])
+        for _ in range(abs(nudge := draw(st.integers(-4, 4)))):
+            r = np.nextafter(r, np.copysign(np.inf, nudge))
+        assume(0.0 < r <= np.pi / 2)
+    basis_kind = draw(st.sampled_from(["zernike", "haar", "piecewise_linear"]))
+    L = draw(st.sampled_from([1, 2, 4, 8]) if basis_kind == "haar" else st.integers(2, 6))
+    return sensors, out, make_kernel_basis(basis_kind, L, float(r))
+
+
+_MOVED = build_hemisphere_grid(16, 32, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=disco_builds())
+# Points 3e-9 rad from their inputs pass the neighbour test at r = 1e-10:
+# a band of r plus 1e-9 would drop them.
+@example(case=(_MOVED, _sphere_points(_MOVED.angles[:, 0] + 3e-9, _MOVED.angles[:, 1]),
+               make_kernel_basis("zernike", 1, 1e-10)))
+def test_disco_build_matches_dense_reference(case):
+    in_pts, out_pts, basis = case
+    ref = _dense_disco_reference(in_pts, out_pts, basis)
+    if isinstance(ref, int):
+        with pytest.raises(BasisSupportError, match=re.escape(f"{ref} of ")):
+            build_disco_matrices(in_pts, out_pts, basis)
+        return
+    values, indices, indptr = ref
+    mats = build_disco_matrices(in_pts, out_pts, basis)
+    assert len(mats) == basis.L
+    for m, v in zip(mats, values):
+        assert m.shape == (indptr.size - 1, in_pts.active_indices.size)
+        assert np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices)
+        assert m.data.dtype == np.float64 and m.data.tobytes() == v.tobytes()
+
+
+def test_disco_build_peak_memory_stays_near_its_output():
+    # The build's working set is one block of rows on top of the matrices it
+    # returns (1.22x at 32x64).  Per-row lists joined at the end peak at 1.85x:
+    # every entry is held twice, once in the lists and once in the result.
+    sensors = build_hemisphere_grid(32, 64, 1.0)
+    basis = make_kernel_basis("zernike", 4, R_DEFAULT)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mats = build_disco_matrices(sensors, sensors, basis)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    held = {a.__array_interface__["data"][0]: a.nbytes
+            for m in mats for a in (m.data, m.indices, m.indptr)}
+    assert peak <= 1.5 * sum(held.values())
 
 
 def test_disco_empty_neighborhood_diagnosed():
