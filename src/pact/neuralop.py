@@ -223,9 +223,13 @@ def build_disco_matrices(in_pts, out_pts, basis):
     cos_r, half = np.cos(basis.r), basis.r + _BAND_SLACK
     blocks = [np.arange(a, min(a + _ROW_BLOCK, n_out)) for a in range(0, n_out, _ROW_BLOCK)]
 
-    def azimuth_and_cosine(i, j):
+    def pair_terms(i, j):
+        """sin and cos of both colatitudes, the azimuth difference, its cosine
+        and cos(rho) of the pairs (output i, input j)."""
+        s_i, c_i, s_j, c_j = sin_out[i], cos_out[i], sin_in[j], cos_in[j]
         dphi = (az_in[j] - az_out[i]) % period
-        return dphi, cos_in[j] * cos_out[i] + sin_in[j] * sin_out[i] * cos_of(dphi)
+        cos_d = cos_of(dphi)
+        return s_i, c_i, s_j, c_j, dphi, cos_d, c_j * c_i + s_j * s_i * cos_d
 
     # Pass 1: each row's neighbours, in ascending input order.
     counts = np.zeros(n_out, dtype=np.int64)
@@ -234,7 +238,7 @@ def build_disco_matrices(in_pts, out_pts, basis):
         th = th_out[rows]   # fmin/fmax skip a NaN point, whose row stays empty
         band = np.flatnonzero((th_in >= np.fmin.reduce(th) - half)
                               & (th_in <= np.fmax.reduce(th) + half))
-        near = azimuth_and_cosine(rows[:, None], band)[1] >= cos_r
+        near = pair_terms(rows[:, None], band)[-1] >= cos_r
         counts[rows] = np.count_nonzero(near, axis=1)
         cols.append(np.broadcast_to(band, near.shape)[near])
     empty = int(np.count_nonzero(counts == 0))
@@ -257,10 +261,15 @@ def build_disco_matrices(in_pts, out_pts, basis):
         span = slice(indptr[rows[0]], indptr[rows[-1] + 1])
         j = indices[span]
         i = np.repeat(rows, counts[rows])
-        dphi, cos_rho = azimuth_and_cosine(i, j)
-        rho = np.arccos(np.clip(cos_rho, -1.0, 1.0))
-        e_comp = sin_in[j] * sin_of(dphi)
-        n_comp = cos_in[j] * sin_out[i] - sin_in[j] * cos_out[i] * cos_of(dphi)
+        s_i, c_i, s_j, c_j, dphi, cos_d, cos_rho = pair_terms(i, j)
+        e_comp = s_j * sin_of(dphi)
+        n_comp = c_j * s_i - s_j * c_i * cos_d
+        # (e, n) is u_j's tangent-plane offset at v_i, of length sin(rho).
+        # arctan2 keeps rho exact near 0, where arccos(cos rho) reads ~1e-8.
+        # The pair passed the neighbour test, so it lies in the closed ball:
+        # rho is capped at r, lest round-off zero the basis at the ball's edge.
+        rho = np.minimum(np.arctan2(np.sqrt(e_comp * e_comp + n_comp * n_comp), cos_rho),
+                         basis.r)
         b = eval_kernel_basis(basis, rho, np.arctan2(n_comp, e_comp))  # [pairs, L]
         q_j = q[j]
         for ell, values in enumerate(data):
