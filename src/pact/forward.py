@@ -41,6 +41,15 @@ class AcousticMedium:
         positive(self.c0, "sound speed")
 
 
+# Longest record (samples per detector) a chain may describe.  Time-domain
+# traces hold n_t float64 samples per detector, so 2**24 samples is 128 MiB
+# per detector; at 20 MHz it is 0.84 s, in which sound in water crosses
+# 1.2 km, thousands of times the flight across any tomograph.  A longer
+# record comes from a unit slip (c0 in km/s, say), and its traces could not
+# be allocated.
+_MAX_RECORD_SAMPLES = 2**24
+
+
 @dataclass
 class ReceiveChain:
     """Sampling, record length and per-bin receive response.
@@ -59,6 +68,11 @@ class ReceiveChain:
     def __post_init__(self):
         if self.fs <= 0 or self.n_t < 2:
             raise ValueError("invalid sampling rate or record length")
+        if self.n_t > _MAX_RECORD_SAMPLES:
+            raise ValueError(
+                f"record of n_t={self.n_t} samples exceeds the {_MAX_RECORD_SAMPLES} "
+                "a chain may allocate per detector"
+            )
         if not 1 <= self.n_freq <= self.n_t // 2:
             raise ValueError(
                 f"n_freq={self.n_freq} exceeds the Nyquist bin {self.n_t // 2}"
@@ -585,7 +599,10 @@ def load_spectra(path):
     if header.get("gains") is not None:
         raise GeometryMismatchError(f"{side}: per-channel gains are not supported")
     response = np.asarray(re, dtype=np.float64) + 1j * np.asarray(im, dtype=np.float64)
-    chain = ReceiveChain(fs=fs, n_t=n_t, n_freq=n_freq, response=response)
+    try:
+        chain = ReceiveChain(fs=fs, n_t=n_t, n_freq=n_freq, response=response)
+    except ValueError as exc:
+        raise GeometryMismatchError(f"{side}: {exc}") from None
     raw = np.fromfile(path, dtype="<c8")
     if raw.size != n_det * n_freq:
         raise GeometryMismatchError(

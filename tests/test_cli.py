@@ -456,8 +456,8 @@ def test_non_finite_snr_exits_one(tmp_path, capsys, command, snr):
 
 @pytest.mark.parametrize("command", ["ubp", "iter"])
 def test_unallocatable_record_exits_one(tmp_path, capsys, command):
-    # 2**50 samples per detector lies far past any address space, so the
-    # allocation is refused at once rather than attempted.
+    # 2**50 samples per detector lies past the record-length bound, so the
+    # loader refuses the file before any allocation is attempted.
     _, geom, psi = _tiny_spectra(tmp_path)
     sidecar = tmp_path / "psi.c64.json"
     doc = json.loads(sidecar.read_text())
@@ -490,7 +490,7 @@ def test_disco_check_radius_without_interior_ball_exits_one(tmp_path, capsys, re
     ("iter", "--pitch", "inf"),
     ("iter", "--lambda", "nan"), ("iter", "--iters", "-1"),
     ("pipeline", "--fs", "0"), ("pipeline", "--c0", "inf"),
-    ("forward", "--c0", "1e-310"), ("pipeline", "--c0", "1e-310"),
+    ("forward", "--c0", "1e-310"), ("pipeline", "--c0", "1e-310"), ("forward", "--c0", "1e-6"),
     ("phantom", "--p0", "nan"), ("phantom", "--sigma", "nan"), ("phantom", "--sigma", "inf"),
     ("geom", "--radius", "inf"),
 ])

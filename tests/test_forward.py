@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -392,6 +393,21 @@ def test_spectra_payload_mismatch_detected(tmp_path, grid8, array10, medium, cha
     with open(path, "ab") as f:
         f.write(b"\x00" * 8)
     with pytest.raises(GeometryMismatchError):
+        load_spectra(path)
+
+
+def test_spectra_record_past_the_length_bound_is_refused(tmp_path, grid8, array10, medium,
+                                                         chain16):
+    # A sidecar edited to promise 2**40 samples per detector: no command could
+    # hold the traces, so the loader refuses it before anything is allocated.
+    x = Volume(np.ones((8, 8, 8), dtype=np.float32), grid8.pitch_m)
+    path = str(tmp_path / "psi.c64")
+    save_spectra(forward_operator(x, array10, medium, chain16), chain16, path)
+    side = tmp_path / "psi.c64.json"
+    header = json.loads(side.read_text())
+    header["n_t"] = 2**40
+    side.write_text(json.dumps(header))
+    with pytest.raises(GeometryMismatchError, match="psi.c64.json: record of n_t=1099511627776"):
         load_spectra(path)
 
 
