@@ -42,11 +42,10 @@ class AcousticMedium:
 
 
 # Longest record (samples per detector) a chain may describe.  Time-domain
-# traces hold n_t float64 samples per detector, so 2**24 samples is 128 MiB
-# per detector; at 20 MHz it is 0.84 s, in which sound in water crosses
-# 1.2 km, thousands of times the flight across any tomograph.  A longer
-# record comes from a unit slip (c0 in km/s, say), and its traces could not
-# be allocated.
+# traces hold n_t float64 samples per detector: 2**24 samples is 128 MiB per
+# detector (96 GiB for 768), and 0.84 s at 20 MHz, in which sound in water
+# crosses 1.2 km, thousands of times the flight across any tomograph.  A
+# longer record comes from a unit slip (c0 in km/s, say), not a measurement.
 _MAX_RECORD_SAMPLES = 2**24
 
 

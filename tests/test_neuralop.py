@@ -233,7 +233,7 @@ def disco_builds(draw):
     Inputs are a sensor array of up to 12x24 under any sampling pattern.
     Outputs are another sampled array with the same azimuth count (the
     integer-column path) or another (the float path), random unit vectors,
-    or the inputs moved by a few 1e-9 rad.  r is either drawn freely, or
+    or the inputs moved 1e-9 to 5e-8 rad in colatitude.  r is drawn freely,
     the colatitude gap of a drawn output/input pair nudged by a few ulps, so
     that pair sits on the edge of the colatitude band a block of rows
     searches, or below 1e-8 rad for the moved inputs.
@@ -303,9 +303,9 @@ def test_disco_build_matches_dense_reference(case):
 
 
 def test_disco_build_peak_memory_stays_near_its_output():
-    # The build's working set is one block of rows on top of the matrices it
-    # returns (1.22x at 32x64).  Per-row lists joined at the end peak at 1.85x:
-    # every entry is held twice, once in the lists and once in the result.
+    # 1.5x sits between a build that holds each entry once plus one block of
+    # rows' work arrays (1.27x here) and one that holds every entry twice, in
+    # per-row lists and in the result (1.85x).
     sensors = build_hemisphere_grid(32, 64, 1.0)
     basis = make_kernel_basis("zernike", 4, R_DEFAULT)
     tracemalloc.start()
